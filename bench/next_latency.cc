@@ -22,11 +22,10 @@
 /// serializing under the engine lock. The driver fills all D device slots,
 /// hands the D completions back in a burst, and charges the burst's fold
 /// cost at its parallel critical path — the max over shard workers of the
-/// CLOCK_THREAD_CPUTIME_ID delta (the same protocol bench/scaling_shards
-/// uses; on this one-core container wall time cannot show the overlap, the
-/// per-worker CPU clocks can). `report_us_mean` is that critical path per
-/// completion: N=1 is the serialized engine (every fold on one worker);
-/// it should fall roughly with the shard count at fixed D.
+/// CLOCK_THREAD_CPUTIME_ID delta (on a one-core host wall time cannot show
+/// the overlap, the per-worker CPU clocks can). `report_us_mean` is that
+/// critical path per completion: N=1 is the serialized engine (every fold
+/// on one worker); it should fall roughly with the shard count at fixed D.
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>

@@ -12,6 +12,12 @@
 #             sharded selector engine (the shard conformance suite plus the
 #             concurrent Next/Report/Cancel/RemoveTenant churn battery in
 #             tests/shard/ run under every preset via ctest)
+#     stress — multi-core repeat leg: builds the default (RelWithDebInfo)
+#             and the TSan configurations, then runs only the raced suites
+#             (ReportPipelineStress, ShardedStress, SnapshotStress,
+#             AsyncExecutorStress, KillRecoverBattery) in each with
+#             `ctest -j$(nproc) --repeat until-fail:20`, so a race that
+#             one core hides has every core and 20 tries to show up.
 #     lint  — static-analysis leg: builds tools/easeml_lint and runs it
 #             over src/ (determinism & lock-discipline rules), then — when
 #             the pinned Clang major (or any newer clang) is installed —
@@ -80,6 +86,22 @@ if [[ "${CONFIG}" == "lint" ]]; then
     echo "NOTICE: clang-tidy-${EASEML_CLANG_MAJOR} not found; skipping" \
          "the tidy stage (CI runs it with the pinned clang)."
   fi
+  exit 0
+fi
+
+if [[ "${CONFIG}" == "stress" ]]; then
+  STRESS_SUITES='ReportPipelineStress|ShardedStress|SnapshotStress'
+  STRESS_SUITES+='|AsyncExecutorStress|KillRecoverBattery'
+  run_stress() {  # BUILD_DIR SANITIZE ("" for none)
+    echo "== stress: $1 (sanitize='$2'), 20 repeats on $(nproc) cores"
+    cmake -B "$1" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DEASEML_SANITIZE="$2"
+    cmake --build "$1" -j
+    (cd "$1" && ctest --output-on-failure -j"$(nproc)" \
+       --repeat until-fail:20 -R "${STRESS_SUITES}")
+  }
+  run_stress build ""
+  run_stress build-tsan thread
   exit 0
 fi
 

@@ -221,19 +221,6 @@ Result<int> MultiTenantSelector::AddTenant(
   return id;
 }
 
-Result<int> MultiTenantSelector::AddTenant(gp::DiscreteArmGp belief,
-                                           std::vector<double> costs) {
-  if (options_.wal != nullptr) {
-    return Status::Unimplemented(
-        "AddTenant: the durable selector requires the shared-prior belief "
-        "representation (dense per-tenant beliefs are not serializable; "
-        "register via a SharedGpPrior)");
-  }
-  return AddTenantWithBelief(
-      std::make_unique<gp::DiscreteArmGp>(std::move(belief)),
-      std::move(costs));
-}
-
 namespace {
 
 /// Process-wide default-prior cache, one prior per (K, noise variance).
@@ -722,10 +709,9 @@ Result<DurableSelectorState> MultiTenantSelector::CaptureDurableState() const {
               ? nullptr
               : dynamic_cast<const gp::SharedPriorGp*>(&ucb->belief());
       if (belief == nullptr) {
-        return Status::Unimplemented(
+        return Status::Internal(
             "CaptureDurableState: tenant " + std::to_string(u.user_id()) +
-            " does not run the shared-prior GP-UCB belief; only that "
-            "representation is serializable");
+            " does not run the shared-prior GP-UCB belief");
       }
       const std::shared_ptr<const gp::SharedGpPrior>& prior = belief->prior();
       const auto ptr_it = prior_ids.find(prior.get());

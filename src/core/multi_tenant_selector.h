@@ -12,7 +12,6 @@
 #include "core/durability_log.h"
 #include "core/durable_state.h"
 #include "core/selector_observer.h"
-#include "gp/gaussian_process.h"
 #include "gp/shared_prior_gp.h"
 #include "scheduler/candidate_index.h"
 #include "scheduler/scheduler_policy.h"
@@ -52,14 +51,16 @@ struct SelectorOptions {
   /// reproduces the sequential Next/Report protocol bit-identically.
   int num_devices = 1;
 
-  /// Number of selector shards for the parallel user-picking engine. 1
-  /// (the default) is the in-process sequential scan; values > 1 select
+  /// Number of selector shards. 1 (the default) is the in-process
+  /// sequential engine; values > 1 select
   /// `shard::ShardedMultiTenantSelector` when the selector is built
   /// through `shard::MakeSelector` — tenants are hash-partitioned across
-  /// that many worker threads and every `Next()` scan fans out over them,
-  /// reduced deterministically so the selection trace stays bit-identical
-  /// to the sequential engine. Plain `MultiTenantSelector::Create` ignores
-  /// the field (it IS the 1-shard engine).
+  /// that many worker threads, which run each tenant's arm selection and
+  /// belief fold. The user pick stays on the coordinator (the index or the
+  /// sequential scan, per `use_candidate_index`), so the selection trace
+  /// is bit-identical to the sequential engine. Plain
+  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
+  /// engine).
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index instead of the
@@ -68,9 +69,10 @@ struct SelectorOptions {
   /// tenant event replays one O(log T) leaf path, and a pick reads the
   /// shard roots — bit-identical to the scan path by construction (the
   /// index/scan conformance suite pins every policy, shard count and churn
-  /// pattern). Off by default: the scan needs no per-tenant key
-  /// maintenance on the report path, which a small-T deployment may
-  /// prefer; flip it on when T is large enough that Next() dominates.
+  /// pattern). Serving runs the index. Index-off (the default) is the
+  /// reference scan engine (`SchedulerPolicy::PickUser`, the paper's
+  /// Algorithm 2 as written) that the conformance suites compare every
+  /// configuration against.
   bool use_candidate_index = false;
 
   /// Observation seam (core/selector_observer.h), or nullptr for none. Not
@@ -90,9 +92,7 @@ struct SelectorOptions {
   /// write failure fail-stops the selector: the error is latched and every
   /// further mutation is refused, because in-memory state may be ahead of
   /// the log. When null (the default) every hook is one branch — same
-  /// zero-cost discipline as `observer`. The durable path requires the
-  /// shared-prior belief representation: `AddTenant(DiscreteArmGp, ...)`
-  /// is Unimplemented while a WAL is attached.
+  /// zero-cost discipline as `observer`.
   DurabilityLog* wal = nullptr;
 };
 
@@ -194,11 +194,6 @@ class MultiTenantSelector {
   virtual Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
                                 std::vector<double> costs);
 
-  /// Registers a tenant with a private dense belief (O(K^2) state; kept for
-  /// callers that need a tenant-specific prior covariance).
-  virtual Result<int> AddTenant(gp::DiscreteArmGp belief,
-                                std::vector<double> costs);
-
   /// Registers a tenant with an uninformative independent prior
   /// (unit-variance diagonal) — used when no training logs exist yet. The
   /// default prior is built once per (num_models, noise_variance) in a
@@ -290,9 +285,8 @@ class MultiTenantSelector {
   /// Serializes the COMPLETE engine state (priors deduplicated by
   /// identity, per-tenant user + compact belief state, in-flight table,
   /// ticket/round counters, scheduler blob, WAL position) for a
-  /// checkpoint. Requires every tenant to run the shared-prior belief
-  /// (Unimplemented otherwise — the dense representation is rejected at
-  /// AddTenant when a WAL is attached). The sharded override locks and
+  /// checkpoint. Every registration path builds the shared-prior belief,
+  /// the one representation this serializes. The sharded override locks and
   /// drains the fold pipeline first, so the capture is quiesced.
   virtual Result<DurableSelectorState> CaptureDurableState() const;
 

@@ -59,10 +59,11 @@ class EaseMlService {
  public:
   struct Options {
     /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): every `Next()`
-    /// user scan fans out over that many shard workers, with the selection
-    /// trace bit-identical to the sequential engine. `selector.num_devices`
-    /// sizes the async pipeline as before; the two compose.
+    /// sharded engine (`shard::ShardedMultiTenantSelector`): tenant arm
+    /// selection and belief folds run on that many shard workers, with the
+    /// selection trace bit-identical to the sequential engine.
+    /// `selector.num_devices` sizes the async pipeline as before; the two
+    /// compose.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;
     /// Fraction of fed examples whose labels are noisy (weak supervision).

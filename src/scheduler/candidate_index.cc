@@ -90,8 +90,8 @@ CandidateIndex::IndexNode CandidateIndex::IndexNode::Merge(const IndexNode& a,
   out.min_schedulable = std::min(out.min_schedulable, b.min_schedulable);
   out.min_uninitialized = std::min(out.min_uninitialized, b.min_uninitialized);
   out.min_bad_policy = std::min(out.min_bad_policy, b.min_bad_policy);
-  // Same total order as the scan reductions' MergeBest: strictly larger
-  // key wins, exact ties keep the lower tenant id.
+  // Same total order as the scan's line-8 argmax in GreedyScheduler::PickUser:
+  // strictly larger key wins, exact ties keep the lower tenant id.
   if (b.max_bound_id != kNone &&
       (out.max_bound_id == kNone || b.max_bound > out.max_bound ||
        (b.max_bound == out.max_bound && b.max_bound_id < out.max_bound_id))) {
@@ -178,7 +178,7 @@ void CandidateIndex::AppendTenant(int shard, const UserState& user) {
 
 void CandidateIndex::Refresh(const UserState& user) {
   // Callers hold the owning selector's lock, or are the shard's owning
-  // worker inside a barriered fan-out (see the header's external-
+  // worker inside a routed solo or queued fold (see the header's external-
   // synchronization contract); either way this mutation is ordered before
   // the next pick's root read.
   const int id = user.user_id();
@@ -231,7 +231,7 @@ namespace {
 /// with the bound; +inf always admits, NaN/-inf never), so a subtree whose
 /// max bound fails the threshold holds no candidate and is cut; subtrees
 /// whose max key cannot beat the current best are cut by the same total
-/// order the scan reduction uses. The result is the unique (key desc, id
+/// order the scan's argmax uses. The result is the unique (key desc, id
 /// asc) optimum over candidates, independent of visit order.
 void DescendBestCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
                           const std::vector<int>& tenants,

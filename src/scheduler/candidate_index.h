@@ -13,17 +13,17 @@ namespace easeml::scheduler {
 
 /// Incremental candidate index: the "no scan" serving path.
 ///
-/// Every `Next()` of the scan engines (sequential or sharded) rescans all T
-/// tenants even though a `Report` changes exactly one tenant's (bound, gap)
+/// The reference scan (`PickUser`) rescans all T tenants on every `Next()`
+/// even though a `Report` changes exactly one tenant's (bound, gap)
 /// summary. The index inverts that: each shard keeps a monotone
 /// `TournamentTree` over its tenants' policy summaries (`TenantKey` →
-/// `IndexNode`, merged with the same total-order tie-breaks as the scan
-/// reductions), plus the exactly-mergeable scalar aggregates of GREEDY's
+/// `IndexNode`, merged with the same total-order tie-breaks as the scan's
+/// argmax loops), plus the exactly-mergeable scalar aggregates of GREEDY's
 /// candidate threshold. A tenant event (`Report`, `Cancel`, arm selection,
 /// retirement) refreshes ONE leaf and replays its O(log T) root path; a
-/// pick reads the N shard roots in O(1) each and merges them exactly like
-/// the scan path's `ReduceTree`, so the result is bit-identical to the scan
-/// for every shard count.
+/// pick reads the N shard roots in O(1) each and merges them with that
+/// total order, so the result is bit-identical to the scan for every shard
+/// count.
 ///
 /// ## Per-policy keys and their invalidation contract
 ///
@@ -70,10 +70,10 @@ namespace easeml::scheduler {
 /// (`EASEML_PT_GUARDED_BY`-style at the owner), not here — a struct cannot
 /// name a mutex it has never heard of. The worker-side exception mirrors
 /// `ShardPool`'s discipline: a shard's owning worker may `Refresh` leaves
-/// of ITS tree — during a barriered fan-out, a routed solo, or a queued
-/// report fold — without holding the selector lock. The pool's internal
-/// mutex orders those writes before the coordinator's next read (barrier
-/// completion or queue drain), and distinct shards own disjoint trees, so
+/// of ITS tree — during a routed solo or a queued report fold — without
+/// holding the selector lock. The pool's internal mutex orders those
+/// writes before the coordinator's next read (solo completion or queue
+/// drain), and distinct shards own disjoint trees, so
 /// concurrent folds on different workers never touch the same node; the
 /// cached-key vector is indexed per tenant and never resized worker-side
 /// (churn drains the queues first). Any new caller must either hold the
@@ -81,8 +81,8 @@ namespace easeml::scheduler {
 /// way.
 class CandidateIndex {
  public:
-  /// Sentinel for "no tenant": merges below as min-identity, mirroring the
-  /// scan reductions' kNoUser/kNone.
+  /// Sentinel for "no tenant": merges below as min-identity, mirroring
+  /// GREEDY's kNoUser.
   static constexpr int kNone = std::numeric_limits<int>::max();
 
   /// Per-tenant key material, derived from `UserState` by `MakeTenantKey`
@@ -97,7 +97,7 @@ class CandidateIndex {
 
   /// Tournament summary over a leaf range. All merges are exact (integer
   /// counts, min-id, strictly-greater-key argmax with lowest-id tie-break —
-  /// the scan reductions' total orders), so the root is independent of the
+  /// the scan's total orders), so the root is independent of the
   /// leaf partition and grouping.
   struct IndexNode {
     int cnt_schedulable = 0;
@@ -136,8 +136,8 @@ class CandidateIndex {
     double key = -std::numeric_limits<double>::infinity();
     int user = kNone;
 
-    /// The scan reductions' total order: strictly larger key wins, exact
-    /// ties keep the lower id. NaN never beats anything.
+    /// The scan's total order: strictly larger key wins, exact ties keep
+    /// the lower id. NaN never beats anything.
     bool Beats(const Best& other) const {
       return user != kNone &&
              (other.user == kNone || key > other.key ||

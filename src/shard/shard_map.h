@@ -11,12 +11,12 @@ namespace easeml::shard {
 /// New tenants are placed by a mixed hash of their id (so adjacent ids —
 /// which arrive together and stay equally hot — spread out instead of
 /// clustering), then the partition is rebalanced so shard sizes never
-/// differ by more than one: the per-`Next()` scan critical path is
-/// max-shard-size, so balance IS the speedup. Rebalancing moves tenants
-/// deterministically (largest shard donates its highest id to the smallest
-/// shard), but note that correctness never depends on placement: the
-/// selection reduction is partition-invariant by construction, so the map
-/// is free to chase balance.
+/// differ by more than one, so per-shard fold and index work stays even.
+/// Rebalancing moves tenants deterministically (largest shard donates its
+/// highest id to the smallest shard), but note that correctness never
+/// depends on placement: the index's cross-shard merge is
+/// partition-invariant by construction, so the map is free to chase
+/// balance.
 ///
 /// Removal vacates the slot and rebalances the same way — the tenant-churn
 /// path `RemoveTenant` takes. Tenant ids are never reused; the map only

@@ -9,7 +9,6 @@ namespace easeml::shard {
 
 ShardPool::ShardPool(int num_workers) {
   EASEML_CHECK(num_workers >= 1) << "ShardPool: num_workers must be >= 1";
-  seen_.assign(num_workers, 0);
   cpu_seconds_.assign(num_workers, 0.0);
   slots_.reserve(num_workers);
   for (int w = 0; w < num_workers; ++w) {
@@ -30,20 +29,9 @@ void ShardPool::Shutdown() {
     shutdown_ = true;
     for (auto& slot : slots_) slot->wake.NotifyOne();
   }
-  // Workers drain their queues and any pending solo/barrier work before
+  // Workers drain their queues and any pending solo work before
   // exiting, so every accepted task runs-to-completion under Shutdown.
   for (auto& worker : workers_) worker.join();
-}
-
-void ShardPool::RunAll(const std::function<void(int)>& fn) {
-  MutexLock lock(mu_);
-  EASEML_CHECK(!shutdown_) << "ShardPool: RunAll after Shutdown";
-  fn_ = &fn;
-  ++generation_;
-  remaining_ = size();
-  for (auto& slot : slots_) slot->wake.NotifyOne();
-  while (remaining_ != 0) work_done_.Wait(lock);
-  fn_ = nullptr;
 }
 
 bool ShardPool::RunOn(int worker, const std::function<void()>& fn) {
@@ -79,12 +67,10 @@ void ShardPool::WorkerLoop(int worker) {
   for (;;) {
     std::function<void()> queued;  // owned: the slot entry is consumed
     const std::function<void()>* solo = nullptr;
-    const std::function<void(int)>* all = nullptr;
     bool from_queue = false;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && slot.queue.empty() && slot.solo == nullptr &&
-             seen_[worker] == generation_) {
+      while (!shutdown_ && slot.queue.empty() && slot.solo == nullptr) {
         slot.wake.Wait(lock);
       }
       if (!slot.queue.empty()) {
@@ -97,9 +83,6 @@ void ShardPool::WorkerLoop(int worker) {
       } else if (slot.solo != nullptr) {
         solo = slot.solo;
         slot.solo = nullptr;
-      } else if (seen_[worker] != generation_) {
-        seen_[worker] = generation_;
-        all = fn_;
       } else {
         return;  // shutdown with no pending work
       }
@@ -108,10 +91,8 @@ void ShardPool::WorkerLoop(int worker) {
     const double cpu_before = ThreadCpuSeconds();
     if (from_queue) {
       queued();
-    } else if (solo != nullptr) {
-      (*solo)();
     } else {
-      (*all)(worker);
+      (*solo)();
     }
     const double cpu_after = ThreadCpuSeconds();
 

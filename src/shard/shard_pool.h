@@ -15,14 +15,11 @@ namespace easeml::shard {
 /// Worker pool of the sharded selector: one long-lived thread per shard,
 /// driving two kinds of work.
 ///
-/// **Barrier work** — `RunAll(fn)` wakes every worker, runs `fn(shard)`
-/// once per shard concurrently, and returns after the last one finished.
-/// `RunOn(worker, fn)` is the solo variant: it wakes only that worker
-/// (per-worker condition variables) and blocks until the closure ran — the
-/// path that routes a single tenant's arm selection to its owning shard
-/// without a full barrier. The mutex acquire/release pairs around each
-/// barrier give the caller full happens-before visibility of everything
-/// the closures wrote.
+/// **Solo work** — `RunOn(worker, fn)` wakes only that worker (per-worker
+/// condition variables) and blocks until the closure ran: the path that
+/// routes a single tenant's arm selection to its owning shard. The mutex
+/// acquire/release pairs around the call give the caller full
+/// happens-before visibility of everything the closure wrote.
 ///
 /// **Queued work** — `Enqueue(worker, fn)` appends `fn` to that worker's
 /// FIFO report queue and returns immediately; the owning worker drains its
@@ -30,19 +27,19 @@ namespace easeml::shard {
 /// the coordinator validates a completion's ticket, enqueues the O(t^2)
 /// belief fold on the tenant's owning shard, and returns — folds for
 /// tenants on different shards run concurrently. `DrainQueues()` blocks
-/// until every queued task has finished (same visibility guarantee as the
-/// barriers); per-worker FIFO order is the fold-order determinism anchor,
-/// so queue tasks always run before any pending solo/barrier work.
+/// until every queued task has finished (same visibility guarantee as
+/// `RunOn`); per-worker FIFO order is the fold-order determinism anchor,
+/// so queue tasks always run before any pending solo work.
 ///
 /// Workers accumulate the CPU time (CLOCK_THREAD_CPUTIME_ID) they spend
 /// inside closures; `WorkerCpuSeconds()` exposes it. Unlike wall clock,
 /// thread CPU time is not inflated by core oversubscription, so
 /// max-over-workers is a faithful measure of the pool's critical path even
-/// on machines with fewer cores than shards (bench/scaling_shards and the
-/// report-throughput bench report it next to wall time).
+/// on machines with fewer cores than shards (the report-throughput bench
+/// reports it next to wall time).
 ///
-/// One *barrier* caller at a time: `RunAll`/`RunOn` are serialized by the
-/// selector's lock. `Enqueue`/`DrainQueues`/`Shutdown` may race with
+/// One *solo* caller at a time: `RunOn` is serialized by the selector's
+/// lock. `Enqueue`/`DrainQueues`/`Shutdown` may race with
 /// anything. Closures must not call back into the pool or the selector.
 ///
 /// `Shutdown()` (also run by the destructor) drains all pending work, then
@@ -51,7 +48,7 @@ namespace easeml::shard {
 /// pre-seeded sentinel this used to leak.
 ///
 /// Lock discipline (machine-checked under Clang -Wthread-safety): `mu_`
-/// guards the barrier and queue state; `slots_` and `workers_` are
+/// guards the solo and queue state; `slots_` and `workers_` are
 /// immutable after construction (built before any worker thread starts, so
 /// publication is ordered by thread creation) and the per-`Slot` fields
 /// are accessed only under `mu_` by convention — nested types cannot name
@@ -68,11 +65,6 @@ class ShardPool {
   ShardPool& operator=(const ShardPool&) = delete;
 
   int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Runs `fn(shard)` on every worker; blocks until all have finished.
-  /// Must not be called after Shutdown() (the selector never does: its
-  /// public methods stop before the pool is torn down).
-  void RunAll(const std::function<void(int)>& fn) EASEML_EXCLUDES(mu_);
 
   /// Runs `fn` on `worker`'s thread alone and blocks until it finished;
   /// returns true iff the closure ran. After Shutdown() the closure is NOT
@@ -97,8 +89,8 @@ class ShardPool {
   /// workers. Idempotent; also invoked by the destructor.
   void Shutdown() EASEML_EXCLUDES(mu_);
 
-  /// Cumulative per-worker CPU seconds spent inside closures (barrier,
-  /// solo, and queued alike).
+  /// Cumulative per-worker CPU seconds spent inside closures (solo and
+  /// queued alike).
   std::vector<double> WorkerCpuSeconds() const EASEML_EXCLUDES(mu_);
 
  private:
@@ -118,13 +110,8 @@ class ShardPool {
   CondVar work_done_;
   /// Signaled whenever `queued_` drops to zero.
   mutable CondVar queues_drained_;
-  /// Valid while a barrier runs.
-  const std::function<void(int)>* fn_ EASEML_GUARDED_BY(mu_) = nullptr;
-  uint64_t generation_ EASEML_GUARDED_BY(mu_) = 0;
-  /// Last barrier generation each worker ran.
-  std::vector<uint64_t> seen_ EASEML_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Slot>> slots_;  // immutable after the ctor
-  /// Outstanding barrier/solo closures (RunAll/RunOn completion count).
+  /// Outstanding solo closures (RunOn completion count).
   int remaining_ EASEML_GUARDED_BY(mu_) = 0;
   /// Outstanding queued tasks across all workers (accepted, not finished).
   int64_t queued_ EASEML_GUARDED_BY(mu_) = 0;

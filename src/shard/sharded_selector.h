@@ -13,30 +13,30 @@
 
 namespace easeml::shard {
 
-/// Sharded selector engine: parallel user-picking over tenant shards with a
-/// deterministic reduction tree.
+/// Sharded selector engine: tenant state partitioned over shard workers,
+/// with per-tenant arm selection and belief folds run on the owning shard.
 ///
-/// The serving hot path of the multi-tenant selector is the `Next()` scan —
-/// O(T·K) over all tenants to find the best (empirical bound, UCB gap)
-/// candidate. Tenants are conditionally independent given the shared
-/// `SharedGpPrior`, so the scan shards cleanly by tenant: a `ShardMap`
-/// hash-partitions tenants over N worker threads (`ShardPool`), each worker
-/// scans only its local tenants through the scheduler policy's
-/// `PickUserSharded` seam, and the tiny per-shard summaries (candidate id,
-/// bound, gap — `ShardCandidate`-shaped structs inside each policy) are
-/// merged through a deterministic binary reduction tree (`ReduceTree`) with
-/// a total-order tie-break and exact (`ExactDoubleSum`) threshold
-/// arithmetic. The winner is therefore BIT-IDENTICAL to the sequential
-/// engine's pick for every shard count and any thread interleaving — the
+/// Tenants are conditionally independent given the shared `SharedGpPrior`,
+/// so their state shards cleanly by tenant: a `ShardMap` hash-partitions
+/// tenants over N worker threads (`ShardPool`). A tenant's arm selection
+/// and belief fold execute on its owning shard's worker (`SelectArmFor`
+/// routing on the pick path, the per-shard report queues below on the
+/// completion path), and the per-arm in-flight masks live inside the
+/// tenant's `UserState`, so no cross-shard belief synchronization ever
+/// happens.
+///
+/// The user pick itself runs on the coordinator, under `mu_`, through the
+/// base engine's `PickTenant`. With `SelectorOptions::use_candidate_index`
+/// (the serving configuration) each shard keeps an incremental tournament
+/// tree over its local tenants (`scheduler::CandidateIndex`, placement
+/// mirroring the shard map), the routed seams refresh the served tenant's
+/// leaf on its owning worker in O(log T), and `Next()` reads the N shard
+/// roots. With the index off the coordinator runs the policy's sequential
+/// `PickUser` scan — the reference engine the conformance suites compare
+/// against. Either way the picks are BIT-IDENTICAL to the sequential
+/// engine's for every shard count and any thread interleaving: the
 /// conformance suite replays N ∈ {1,2,4,7} against the unsharded selector
 /// across all five scheduler policies.
-///
-/// Tenant state stays shard-local: a tenant's arm selection and belief fold
-/// execute on its owning shard's worker (`SelectArmFor` routing on the pick
-/// path, the per-shard report queues below on the completion path), and the
-/// per-arm in-flight masks live inside the tenant's `UserState`, so no
-/// cross-shard belief synchronization ever happens — shards only exchange
-/// their summaries at the reduction.
 ///
 /// ## Report pipeline (coordinator / shard split)
 ///
@@ -57,35 +57,24 @@ namespace easeml::shard {
 /// `mu_` — which stops new folds from being enqueued — then drains the
 /// queues, so it always observes a fully folded engine.
 ///
-/// With `SelectorOptions::use_candidate_index` the scan fan-out disappears
-/// entirely: each shard keeps an incremental tournament tree over its
-/// local tenants (`scheduler::CandidateIndex`, placement mirroring the
-/// shard map), the routed seams refresh the served tenant's leaf on its
-/// owning worker in O(log T), and `Next()` reads the N shard roots on the
-/// coordinator — same picks, bit-identically, with no per-pick O(T/N)
-/// work anywhere (see PickTenant).
-///
 /// Drop-in: the class IS a `core::MultiTenantSelector` (same ticketed
 /// `Next()/Report()/Cancel()` protocol, same Status taxonomy), selected via
 /// `SelectorOptions::num_shards > 1` through `MakeSelector`. Unlike the
 /// base engine every public method is thread-safe: a selector-wide lock
-/// serializes the protocol while each scan fans out internally. (Sole
+/// serializes the protocol while folds run on the shard workers. (Sole
 /// exception: `scheduler_policy()` hands out a raw reference into policy
 /// state and is for quiescent diagnostics only.) Tenant churn
 /// (`AddTenant`/`RemoveTenant`) rebalances the shard map under the same
 /// lock.
-class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
-                                         private scheduler::ShardScan {
+class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
  public:
   /// Validates `options` (num_shards >= 1) and starts the shard workers.
   static Result<std::unique_ptr<ShardedMultiTenantSelector>> Create(
       const core::SelectorOptions& options);
 
   // Thread-safe protocol overrides: take the selector lock, then run the
-  // base implementation, whose seam calls fan out to the shard workers.
+  // base implementation, whose routed seams run on the shard workers.
   Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
-                        std::vector<double> costs) override;
-  Result<int> AddTenant(gp::DiscreteArmGp belief,
                         std::vector<double> costs) override;
   Result<int> AddTenantWithDefaultPrior(int num_models,
                                         std::vector<double> costs,
@@ -103,12 +92,10 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   Result<double> BestAccuracy(int tenant) const override;
   Result<int> RoundsServed(int tenant) const override;
 
-  /// Shard count (== options().num_shards). Also serves the ShardScan
-  /// interface handed to the scheduler policies.
-  int num_shards() const override { return pool_.size(); }
+  /// Shard count (== options().num_shards).
+  int num_shards() const { return pool_.size(); }
 
-  /// Current shard sizes, ascending shard index. The max is the per-scan
-  /// critical path in tenants (diagnostics / bench).
+  /// Current shard sizes, ascending shard index (diagnostics / bench).
   std::vector<int> ShardSizes() const;
 
   /// Thread-safe index invariant check (see the base class): additionally
@@ -124,7 +111,7 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   Result<core::DurableSelectorState> CaptureDurableState() const override;
   Status RestoreDurableState(const core::DurableSelectorState& state) override;
 
-  /// Cumulative per-shard-worker CPU seconds spent in scan and fold
+  /// Cumulative per-shard-worker CPU seconds spent in routed and fold
   /// closures. Max over shards tracks the parallel critical path even when
   /// the host has fewer cores than shards (see ShardPool). Locks and
   /// drains the report queues first, so the numbers include every fold of
@@ -136,27 +123,12 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   ShardedMultiTenantSelector(core::MultiTenantSelector&& base,
                              int num_shards);
 
-  // scheduler::ShardScan — the policies' view of the partition.
-  //
-  // REQUIRES(mu_) is the coordinator's view: the scan runs while the
-  // coordinator holds mu_ for the whole barrier, and shard workers inherit
-  // that exclusion (they execute strictly inside a RunAll/RunOn whose
-  // caller holds mu_). Worker-side closures read the partition through a
-  // reference captured under the lock, never through `map_` directly, so
-  // the analysis sees every guarded access in an annotated scope.
-  const std::vector<int>& LocalTenants(int shard) const override
-      EASEML_REQUIRES(mu_) {
-    return map_.local(shard);
-  }
-  void Run(const std::function<void(int)>& fn) override { pool_.RunAll(fn); }
-
   // Engine seams (called with mu_ held by the public overrides). The
   // outcome/cancel fold seams (`RecordOutcomeFor`/`CancelSelectionFor`)
   // are deliberately NOT overridden: the sharded Report/Cancel overrides
   // already run the whole fold on the owning worker via the report queue,
   // so the base implementations execute worker-side — an override that
   // re-routed through the pool would deadlock the worker on itself.
-  Result<int> PickTenant(int round) override EASEML_REQUIRES(mu_);
   Result<int> SelectArmFor(int tenant) override EASEML_REQUIRES(mu_);
   // Churn re-partitions the shard map (rebalanced within +-1, which may
   // move OTHER tenants between shards); the candidate index mirrors the

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/reduction_tree.h"
 #include "common/rng.h"
 
 namespace easeml {
@@ -45,7 +44,22 @@ TEST(TournamentTreeTest, EmptyTreeHoldsIdentityRoot) {
   EXPECT_EQ(tree.Root().arg, -1);
 }
 
-TEST(TournamentTreeTest, BulkBuildMatchesReduceTree) {
+/// Plain partitioned left fold: `leaves` cut into `parts` contiguous runs,
+/// each folded left to right, the run results folded left to right.
+MaxSummary PartitionedFold(const std::vector<MaxSummary>& leaves, int parts) {
+  MaxSummary total;
+  const size_t n = leaves.size();
+  for (int p = 0; p < parts; ++p) {
+    MaxSummary run;
+    for (size_t i = n * p / parts; i < n * (p + 1) / parts; ++i) {
+      run = MaxSummary::Merge(run, leaves[i]);
+    }
+    total = MaxSummary::Merge(total, run);
+  }
+  return total;
+}
+
+TEST(TournamentTreeTest, BulkBuildMatchesPartitionedFold) {
   Rng rng(7);
   for (int n : {1, 2, 3, 5, 8, 13, 64, 100}) {
     std::vector<MaxSummary> leaves;
@@ -54,10 +68,12 @@ TEST(TournamentTreeTest, BulkBuildMatchesReduceTree) {
     }
     TournamentTree<MaxSummary> tree;
     tree.Assign(leaves);
-    const MaxSummary expected = ReduceTree(leaves, MaxSummary::Merge);
     EXPECT_EQ(tree.Root().count, n);
-    EXPECT_EQ(tree.Root().max, expected.max) << "n=" << n;
-    EXPECT_EQ(tree.Root().arg, expected.arg) << "n=" << n;
+    for (int parts = 1; parts <= 7; ++parts) {
+      const MaxSummary expected = PartitionedFold(leaves, parts);
+      EXPECT_EQ(tree.Root().max, expected.max) << "n=" << n << " p=" << parts;
+      EXPECT_EQ(tree.Root().arg, expected.arg) << "n=" << n << " p=" << parts;
+    }
   }
 }
 

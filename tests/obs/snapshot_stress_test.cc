@@ -177,13 +177,23 @@ void RunRacedScanBattery(int num_shards) {
   auto churn = [&] {
     Rng rng(77);
     int added = 0;
+    // Fixed removal budget: at most half the initial tenants are retired,
+    // so the clients always have live tenants to draw tickets from and
+    // progress never depends on how the scheduler interleaves threads
+    // (an unbounded loop could retire the whole fleet first).
+    constexpr int kRemovalBudget = kInitialTenants / 2;
+    int removed = 0;
     while (!stop_churn.load()) {
-      const Status st =
-          selector->RemoveTenant(rng.UniformInt(0, selector->num_tenants() - 1));
-      if (!st.ok() && st.code() != StatusCode::kFailedPrecondition &&
-          st.code() != StatusCode::kOutOfRange) {
-        ADD_FAILURE() << "RemoveTenant: " << st.ToString();
-        failed = true;
+      if (removed < kRemovalBudget) {
+        const Status st = selector->RemoveTenant(
+            rng.UniformInt(0, selector->num_tenants() - 1));
+        if (st.ok()) {
+          ++removed;
+        } else if (st.code() != StatusCode::kFailedPrecondition &&
+                   st.code() != StatusCode::kOutOfRange) {
+          ADD_FAILURE() << "RemoveTenant: " << st.ToString();
+          failed = true;
+        }
       }
       if (added < 6 && rng.UniformInt(0, 2) == 0) {
         auto id = selector->AddTenantWithDefaultPrior(

@@ -1,5 +1,5 @@
 /// ShardMap invariants: hash placement with rebalancing keeps shard sizes
-/// within one of each other (the scan critical path), locals stay sorted,
+/// within one of each other, locals stay sorted,
 /// the tenant->shard index stays consistent, and the whole layout is a
 /// deterministic function of the operation sequence.
 #include "shard/shard_map.h"

@@ -48,18 +48,26 @@ TEST(ShardPoolTest, QueuedWorkCoexistsWithBarriersAndSolos) {
   constexpr int kWorkers = 4;
   ShardPool pool(kWorkers);
   std::atomic<int> queued_runs{0};
+  std::vector<std::atomic<bool>> queued_done(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
-    EXPECT_TRUE(pool.Enqueue(w, [&] { ++queued_runs; }));
+    EXPECT_TRUE(pool.Enqueue(w, [&, w] {
+      ++queued_runs;
+      queued_done[w] = true;
+    }));
   }
-  std::atomic<int> barrier_runs{0};
-  pool.RunAll([&](int) { ++barrier_runs; });
-  bool solo_ran = false;
-  EXPECT_TRUE(pool.RunOn(2, [&] { solo_ran = true; }));
+  // A solo on every worker: each must find its worker's earlier queued
+  // task already run (queue tasks always go before pending solo work).
+  int solo_runs = 0;
+  for (int w = 0; w < kWorkers; ++w) {
+    bool saw_queued = false;
+    EXPECT_TRUE(pool.RunOn(w, [&, w] { saw_queued = queued_done[w]; }));
+    EXPECT_TRUE(saw_queued) << "worker " << w;
+    ++solo_runs;
+  }
   pool.DrainQueues();
   EXPECT_EQ(queued_runs.load(), kWorkers);
-  EXPECT_EQ(barrier_runs.load(), kWorkers);
-  EXPECT_TRUE(solo_ran);
-  // All three kinds of closure feed the same CPU accounting.
+  EXPECT_EQ(solo_runs, kWorkers);
+  // Both kinds of closure feed the same CPU accounting.
   const std::vector<double> cpu = pool.WorkerCpuSeconds();
   EXPECT_EQ(cpu.size(), static_cast<size_t>(kWorkers));
 }

@@ -261,11 +261,11 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
-/// engine, pinned event by event. Guards the whole stack — shard map, scan
-/// fan-out, exact candidate threshold, reduction tie-breaks, ticket
-/// accounting — against silent drift; by the conformance tests above the
-/// same trace is what the sequential engine and every other shard count
-/// produce.
+/// engine, pinned event by event. Guards the whole stack — shard map,
+/// routed arm selection, exact candidate threshold, argmax tie-breaks,
+/// ticket accounting — against silent drift; by the conformance tests
+/// above the same trace is what the sequential engine and every other
+/// shard count produce.
 TEST(ShardedGoldenTraceTest, PinnedHybridCampaign) {
   static const char* const kGolden[] = {
       "N 0 0 0",   "N 1 2 1",   "R 0 0 0",   "N 2 1 2",   "R 2 1 2",

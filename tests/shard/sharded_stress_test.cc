@@ -115,13 +115,23 @@ void RunConcurrentChurnBattery(bool use_index) {
   auto churn = [&]() {
     Rng rng(999);
     int added = 0;
+    // Fixed removal budget: at most half the initial tenants are retired,
+    // so the clients always have live tenants to draw tickets from and
+    // progress never depends on how the scheduler interleaves threads
+    // (an unbounded loop could retire the whole fleet first).
+    constexpr int kRemovalBudget = kInitialTenants / 2;
+    int removed = 0;
     while (!stop_churn.load()) {
-      const int tenant = rng.UniformInt(0, selector->num_tenants() - 1);
-      const Status st = selector->RemoveTenant(tenant);
-      if (!st.ok() && st.code() != StatusCode::kFailedPrecondition &&
-          st.code() != StatusCode::kOutOfRange) {
-        ADD_FAILURE() << "RemoveTenant: " << st.ToString();
-        failed = true;
+      if (removed < kRemovalBudget) {
+        const int tenant = rng.UniformInt(0, selector->num_tenants() - 1);
+        const Status st = selector->RemoveTenant(tenant);
+        if (st.ok()) {
+          ++removed;
+        } else if (st.code() != StatusCode::kFailedPrecondition &&
+                   st.code() != StatusCode::kOutOfRange) {
+          ADD_FAILURE() << "RemoveTenant: " << st.ToString();
+          failed = true;
+        }
       }
       if (use_index && rng.UniformInt(0, 15) == 0) {
         // Raced against live Next/Report/Cancel traffic: the invariant
