@@ -9,15 +9,21 @@
 #     asan  — ASan+UBSan   (-DEASEML_SANITIZE=address,undefined)
 #     tsan  — ThreadSanitizer (-DEASEML_SANITIZE=thread), which races the
 #             async training executor, the multi-device pipeline, and the
-#             sharded selector engine (the shard conformance suite plus the
-#             concurrent Next/Report/Cancel/RemoveTenant churn battery in
-#             tests/shard/ run under every preset via ctest)
+#             sharded selector engine (the differential harness in
+#             tests/differential/ drives every sharded configuration in
+#             lockstep with the scan reference, and the concurrent
+#             Next/Report/Cancel/RemoveTenant churn battery in tests/shard/
+#             races it; both run under every preset via ctest)
 #     stress — multi-core repeat leg: builds the default (RelWithDebInfo)
 #             and the TSan configurations, then runs only the raced suites
-#             (ReportPipelineStress, ShardedStress, SnapshotStress,
-#             AsyncExecutorStress, KillRecoverBattery) in each with
-#             `ctest -j$(nproc) --repeat until-fail:20`, so a race that
-#             one core hides has every core and 20 tries to show up.
+#             (ReportPipelineStress — the raced report batteries plus the
+#             harness's out_of_order profile —, ShardedStress,
+#             SnapshotStress, AsyncExecutorStress, and KillRecoverBattery —
+#             the harness's crash profile) in each with
+#             `ctest -j$(nproc) --repeat until-fail:20 --no-tests=error`,
+#             so a race that one core hides has every core and 20 tries to
+#             show up, and a renamed suite fails the leg instead of
+#             silently matching nothing.
 #     lint  — static-analysis leg: builds tools/easeml_lint and runs it
 #             over src/ (determinism & lock-discipline rules), then — when
 #             the pinned Clang major (or any newer clang) is installed —
@@ -98,7 +104,7 @@ if [[ "${CONFIG}" == "stress" ]]; then
           -DEASEML_SANITIZE="$2"
     cmake --build "$1" -j
     (cd "$1" && ctest --output-on-failure -j"$(nproc)" \
-       --repeat until-fail:20 -R "${STRESS_SUITES}")
+       --repeat until-fail:20 --no-tests=error -R "${STRESS_SUITES}")
   }
   run_stress build ""
   run_stress build-tsan thread

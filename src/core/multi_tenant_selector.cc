@@ -391,19 +391,6 @@ Result<int> MultiTenantSelector::SelectArmFor(int tenant) {
   return arm;
 }
 
-Status MultiTenantSelector::RecordOutcomeFor(int tenant, int model,
-                                             double reward) {
-  const Status status = users_[tenant].RecordOutcome(model, reward);
-  RefreshIndexEntry(tenant);  // belief, sigma~ and mask changed
-  return status;
-}
-
-Status MultiTenantSelector::CancelSelectionFor(int tenant, int model) {
-  const Status status = users_[tenant].CancelSelection(model);
-  RefreshIndexEntry(tenant);  // the arm became selectable again
-  return status;
-}
-
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   EASEML_RETURN_NOT_OK(WalGuard());
   if (users_.empty()) {
@@ -505,15 +492,16 @@ void MultiTenantSelector::FoldReportedOutcome(const Assignment& issued,
                                               double accuracy) {
   const double before = users_[issued.tenant].best_reward();
   const Status folded =
-      RecordOutcomeFor(issued.tenant, issued.model, accuracy);
+      users_[issued.tenant].RecordOutcome(issued.model, accuracy);
   EASEML_CHECK(folded.ok()) << "Report: fold of validated ticket "
                             << issued.id
                             << " rejected: " << folded.ToString();
+  RefreshIndexEntry(issued.tenant);  // belief, sigma~ and mask changed
   if (accuracy > before || best_model_[issued.tenant] < 0) {
     best_model_[issued.tenant] = issued.model;
   }
   // After the best-model update, so the observation carries the incumbent
-  // this fold produced (RecordOutcomeFor already refreshed the index leaf).
+  // this fold produced.
   NotifyTenantEvent(issued.tenant);
 }
 
@@ -565,10 +553,12 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginCancel(
 }
 
 void MultiTenantSelector::FoldCancel(const Assignment& issued) {
-  const Status cancelled = CancelSelectionFor(issued.tenant, issued.model);
+  const Status cancelled =
+      users_[issued.tenant].CancelSelection(issued.model);
   EASEML_CHECK(cancelled.ok()) << "Cancel: fold of validated ticket "
                                << issued.id
                                << " rejected: " << cancelled.ToString();
+  RefreshIndexEntry(issued.tenant);  // the arm became selectable again
   NotifyTenantEvent(issued.tenant);
 }
 

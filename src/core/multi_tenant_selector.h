@@ -155,13 +155,14 @@ int DefaultPriorCacheSizeForTesting();
 ///
 /// The class doubles as the base of the sharded engine
 /// (`shard::ShardedMultiTenantSelector`): the ticketed protocol above is
-/// final, while the protected virtuals below — how the next tenant is
-/// picked, where a tenant's arm selection / belief fold executes — are the
-/// points the sharded engine overrides to fan work out over its shard
-/// workers. `Create` ignores `num_shards`; build through
-/// `shard::MakeSelector` to honor it. The base engine is single-threaded
-/// (external synchronization required); the sharded override of every
-/// public method is thread-safe.
+/// final, and so is the user pick (`PickTenant`: the index or the
+/// sequential scan, always on the caller's thread). Of the protected seams
+/// below, the sharded engine overrides only the arm selection seam and the
+/// tenant add/remove hooks, and it runs the Report/Cancel fold phases on
+/// the owning shard worker. `Create` ignores `num_shards`; build
+/// through `shard::MakeSelector` to honor it. The base engine is
+/// single-threaded (external synchronization required); the sharded
+/// override of every public method is thread-safe.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -312,19 +313,14 @@ class MultiTenantSelector {
 
   /// Picks the tenant to serve at global round `round`: the initialization
   /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
-  /// scheduler policy. The sharded engine fans both scans out over its
-  /// shards with a deterministic reduction.
-  virtual Result<int> PickTenant(int round);
+  /// scheduler policy — from the candidate index when it is on, else the
+  /// policy's sequential `PickUser` scan. Every engine, sharded or not,
+  /// picks through this one function on the coordinator.
+  Result<int> PickTenant(int round);
 
   /// Runs `users()[tenant].SelectArm()`; the sharded engine routes the call
   /// to the shard worker owning the tenant.
   virtual Result<int> SelectArmFor(int tenant);
-
-  /// Runs `users()[tenant].RecordOutcome(model, reward)`; routed likewise.
-  virtual Status RecordOutcomeFor(int tenant, int model, double reward);
-
-  /// Runs `users()[tenant].CancelSelection(model)`; routed likewise.
-  virtual Status CancelSelectionFor(int tenant, int model);
 
   /// Notification hooks for shard-map / index maintenance. The base add
   /// hook appends the new tenant to the 1-shard index in O(log T); the
@@ -338,8 +334,7 @@ class MultiTenantSelector {
   // `Report`/`Cancel` decompose into a COORDINATOR phase (`Begin*`:
   // validate the ticket against the in-flight table and retire the entry),
   // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
-  // plus the index-leaf refresh, via the `RecordOutcomeFor` /
-  // `CancelSelectionFor` seams), and for Report a SEQUENCING phase
+  // plus the index-leaf refresh), and for Report a SEQUENCING phase
   // (`FinishReport`: scheduler OnOutcome + global round advance). The base
   // engine runs all three inline; the sharded engine runs `Begin*` /
   // `FinishReport` under its coordinator lock and ships the fold to the

@@ -123,12 +123,11 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   ShardedMultiTenantSelector(core::MultiTenantSelector&& base,
                              int num_shards);
 
-  // Engine seams (called with mu_ held by the public overrides). The
-  // outcome/cancel fold seams (`RecordOutcomeFor`/`CancelSelectionFor`)
-  // are deliberately NOT overridden: the sharded Report/Cancel overrides
-  // already run the whole fold on the owning worker via the report queue,
-  // so the base implementations execute worker-side — an override that
-  // re-routed through the pool would deadlock the worker on itself.
+  // Engine seams (called with mu_ held by the public overrides). Only arm
+  // selection is routed per call; the user pick is the base engine's
+  // non-virtual `PickTenant` on the coordinator, and the Report/Cancel
+  // overrides ship the base fold phases (`FoldReportedOutcome` /
+  // `FoldCancel`) whole to the owning worker through the report queue.
   Result<int> SelectArmFor(int tenant) override EASEML_REQUIRES(mu_);
   // Churn re-partitions the shard map (rebalanced within +-1, which may
   // move OTHER tenants between shards); the candidate index mirrors the

@@ -1,12 +1,8 @@
-/// Interleaving conformance suite for the async multi-device selector.
-///
-/// Small (T=2 tenants, K=3 models, D=2 devices) campaigns are driven
-/// through EVERY completion ordering: the driver always fills both device
-/// slots, then the DFS choice bits decide which outstanding completion is
-/// reported next. Every ordering must yield a legal belief state and the
-/// same exhaustion point, and the stale/duplicate/unknown/forged report
-/// paths must fail with their precise Status codes without corrupting
-/// belief state.
+/// Unit tests of the async multi-device selector's ticket protocol: slot
+/// and in-flight refusals, the stale/duplicate/unknown/forged report
+/// taxonomy, Cancel, and D=1 equivalence with the sequential protocol.
+/// Every completion ORDERING of a small campaign is enumerated by the
+/// differential harness's orderings profile (tests/differential/).
 #include "core/multi_tenant_selector.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -26,7 +21,6 @@ using Assignment = MultiTenantSelector::Assignment;
 constexpr int kTenants = 2;
 constexpr int kModels = 3;
 constexpr int kDevices = 2;
-constexpr int kTotalJobs = kTenants * kModels;
 
 /// Deterministic ground-truth accuracy of (tenant, model).
 double Accuracy(int tenant, int model) {
@@ -51,103 +45,6 @@ MultiTenantSelector MakeSelector(SchedulerKind kind, int num_devices,
   }
   return selector;
 }
-
-/// Runs one full campaign where completion i is delivered according to
-/// `choice_bits` (bit i picks among the outstanding assignments when there
-/// is a choice). Stores the delivery order in `trace` for deduplication.
-void RunOrdering(SchedulerKind kind, uint32_t choice_bits,
-                 std::vector<int64_t>* trace_out) {
-  MultiTenantSelector selector = MakeSelector(kind, kDevices);
-  std::vector<Assignment> outstanding;
-  std::vector<int64_t> trace;
-  std::set<std::pair<int, int>> handed_out;
-  int dispatched = 0;
-  int completed = 0;
-  int bit = 0;
-
-  auto fill = [&]() {
-    while (selector.HasDispatchableWork()) {
-      auto a = selector.Next();
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      // No (tenant, model) may ever be handed out twice, even while the
-      // first copy is still in flight on another device.
-      EXPECT_TRUE(handed_out.insert({a->tenant, a->model}).second)
-          << "duplicate hand-out: tenant " << a->tenant << " model "
-          << a->model;
-      EXPECT_LE(selector.num_in_flight(), kDevices);
-      outstanding.push_back(*a);
-      ++dispatched;
-    }
-  };
-
-  fill();
-  while (!outstanding.empty()) {
-    size_t pick = 0;
-    if (outstanding.size() > 1) {
-      pick = (choice_bits >> bit) & 1u;
-      ++bit;
-    }
-    const Assignment a = outstanding[pick];
-    outstanding.erase(outstanding.begin() + static_cast<long>(pick));
-    ASSERT_TRUE(selector.Report(a, Accuracy(a.tenant, a.model)).ok());
-    trace.push_back(a.id);
-    ++completed;
-    fill();
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-
-  // Same exhaustion point for every ordering: all T*K jobs dispatched and
-  // completed, selector exhausted, nothing left in flight.
-  EXPECT_EQ(dispatched, kTotalJobs);
-  EXPECT_EQ(completed, kTotalJobs);
-  EXPECT_TRUE(selector.Exhausted());
-  EXPECT_EQ(selector.num_in_flight(), 0);
-  EXPECT_FALSE(selector.Next().ok());
-
-  // Legal final belief state: every tenant served every model exactly once
-  // and converged on the true argmax.
-  for (int t = 0; t < kTenants; ++t) {
-    auto rounds = selector.RoundsServed(t);
-    ASSERT_TRUE(rounds.ok());
-    EXPECT_EQ(*rounds, kModels);
-    auto best = selector.BestModel(t);
-    ASSERT_TRUE(best.ok());
-    EXPECT_EQ(*best, kModels - 1);  // Accuracy() increases with model index
-    auto best_acc = selector.BestAccuracy(t);
-    ASSERT_TRUE(best_acc.ok());
-    EXPECT_DOUBLE_EQ(*best_acc, Accuracy(t, kModels - 1));
-  }
-  *trace_out = std::move(trace);
-}
-
-class AsyncOrderingTest : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(AsyncOrderingTest, EveryReportOrderingIsLegal) {
-  // 6 completions with at most a binary choice each: 2^6 choice vectors
-  // cover every reachable ordering (duplicates collapse in the trace set).
-  std::set<std::vector<int64_t>> distinct_orderings;
-  for (uint32_t bits = 0; bits < (1u << kTotalJobs); ++bits) {
-    std::vector<int64_t> trace;
-    RunOrdering(GetParam(), bits, &trace);
-    if (HasFatalFailure()) return;
-    distinct_orderings.insert(trace);
-  }
-  // With two device slots there is a genuine choice at most steps: the
-  // enumeration must exercise strictly more than the sequential ordering.
-  EXPECT_GT(distinct_orderings.size(), 8u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchedulers, AsyncOrderingTest,
-                         ::testing::Values(SchedulerKind::kHybrid,
-                                           SchedulerKind::kGreedy,
-                                           SchedulerKind::kRoundRobin,
-                                           SchedulerKind::kRandom,
-                                           SchedulerKind::kFcfs),
-                         [](const auto& info) {
-                           return SchedulerKindName(info.param) == "round-robin"
-                                      ? std::string("round_robin")
-                                      : SchedulerKindName(info.param);
-                         });
 
 TEST(AsyncSelectorTest, NextFailsWhileAllDevicesBusy) {
   MultiTenantSelector s = MakeSelector(SchedulerKind::kRoundRobin, kDevices);

@@ -166,10 +166,13 @@ TEST(AsyncExecutorStressTest, ConcurrentProducersAndJitteredDurations) {
   // Drain from the main thread while producers are still submitting. A
   // fast consumer can transiently observe an empty pool (nothing
   // outstanding between two submissions) — that surfaces as a clean
-  // FailedPrecondition, not a hang, and the drain simply retries.
+  // FailedPrecondition, not a hang, and the drain simply retries. The
+  // target is the ACCEPTED submissions (failures only ever lower it), so a
+  // refused Submit fails the EXPECTs below instead of hanging the drain.
   std::set<int64_t> seen;
   bool bad_completion = false;
-  while (seen.size() < static_cast<size_t>(kProducers * kJobsPerProducer)) {
+  while (seen.size() < static_cast<size_t>(kProducers * kJobsPerProducer -
+                                           submit_failures.load())) {
     auto done = pool->WaitCompletion();
     if (!done.ok()) {
       std::this_thread::yield();

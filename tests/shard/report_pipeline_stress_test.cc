@@ -1,6 +1,6 @@
 /// Stress and parity battery for the shard-parallel report pipeline.
 ///
-/// Three angles on the coordinator/shard split of `Report`/`Cancel`:
+/// Two raced angles on the coordinator/shard split of `Report`/`Cancel`:
 ///
 ///  1. TSan-raced batteries: D concurrent reporters across N in {1,2,4,7}
 ///     shards with interleaved Cancel/RemoveTenant churn and raced
@@ -12,13 +12,11 @@
 ///     sequential engine's final per-tenant state (bit-equal BestAccuracy,
 ///     same BestModel/RoundsServed) — the completion set is
 ///     interleaving-invariant at exhaustion.
-///  3. Deterministic lockstep parity: a single-threaded driver replays the
-///     SAME out-of-order completion schedule (D=8 permuted reports,
-///     cancels, tenant churn) against the sharded and the sequential
-///     engine and compares every event — picks, tickets, refusal Status
-///     text, periodic per-tenant state. Picks depend on belief BITS, so
-///     this pins the per-tenant fold order of the queued pipeline to the
-///     sequential engine's.
+///
+/// The deterministic angle — the same out-of-order completion schedule
+/// replayed op-for-op against the sequential engine, which pins the queued
+/// pipeline's per-tenant fold order — is the differential harness's
+/// out_of_order profile (tests/differential/).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -294,144 +292,6 @@ TEST(ReportPipelineStressTest, RacedExhaustionMatchesSequentialEngine) {
       EXPECT_EQ(sharded->BestAccuracy(t).value(), ref->BestAccuracy(t).value());
     }
     EXPECT_TRUE(sharded->ValidateIndex().ok());
-  }
-}
-
-/// Angle 3: deterministic lockstep driver. Both engines see the identical
-/// op schedule — slot-filling Next bursts, then completions handed back in
-/// a seeded PERMUTED order (with cancels and tenant churn) — and must
-/// agree on every event. Sharded picks read post-fold belief bits, so any
-/// deviation in per-tenant fold order shows up as a diverging pick.
-void RunOutOfOrderLockstep(SchedulerKind kind, int shards, bool use_index) {
-  constexpr int kTenants = 9;
-  constexpr int kModels = 5;
-  constexpr int kDevices = 8;
-  constexpr int kOps = 700;
-
-  SelectorOptions options;
-  options.scheduler = kind;
-  options.hybrid_patience = 3;
-  options.num_devices = kDevices;
-  options.use_candidate_index = use_index;
-  auto ref = MultiTenantSelector::Create(options);
-  ASSERT_TRUE(ref.ok());
-  options.num_shards = shards;
-  auto sharded = ShardedMultiTenantSelector::Create(options);
-  ASSERT_TRUE(sharded.ok());
-  for (int t = 0; t < kTenants; ++t) {
-    ASSERT_TRUE(
-        ref->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
-    ASSERT_TRUE((*sharded)
-                    ->AddTenantWithDefaultPrior(kModels, Costs(t, kModels))
-                    .ok());
-  }
-
-  Rng rng(4242);
-  std::vector<Assignment> open_ref;
-  std::vector<Assignment> open_sharded;
-  int added = 0;
-  for (int op = 0; op < kOps; ++op) {
-    const int dice = rng.UniformInt(0, 19);
-    if (open_ref.empty() || dice < 8) {
-      auto a = ref->Next();
-      auto b = (*sharded)->Next();
-      ASSERT_EQ(a.ok(), b.ok()) << "op " << op << ": "
-                                << a.status().ToString() << " vs "
-                                << b.status().ToString();
-      if (a.ok()) {
-        ASSERT_EQ(a->tenant, b->tenant) << "op " << op;
-        ASSERT_EQ(a->model, b->model) << "op " << op;
-        ASSERT_EQ(a->id, b->id) << "op " << op;
-        open_ref.push_back(*a);
-        open_sharded.push_back(*b);
-      } else {
-        // Refusals must match by TEXT, not just code.
-        ASSERT_EQ(a.status().ToString(), b.status().ToString());
-      }
-    } else if (dice < 17) {
-      // Out-of-order completion: hand back a seeded-random outstanding
-      // ticket — the same index in both engines' (identical) lists.
-      const int pick =
-          rng.UniformInt(0, static_cast<int>(open_ref.size()) - 1);
-      const Assignment a = open_ref[pick];
-      const Assignment b = open_sharded[pick];
-      open_ref.erase(open_ref.begin() + pick);
-      open_sharded.erase(open_sharded.begin() + pick);
-      if (dice == 16) {
-        ASSERT_EQ(ref->Cancel(a).ToString(),
-                  (*sharded)->Cancel(b).ToString());
-      } else {
-        const double acc = Accuracy(a.tenant, a.model);
-        ASSERT_EQ(ref->Report(a, acc).ToString(),
-                  (*sharded)->Report(b, acc).ToString());
-      }
-    } else {
-      const int tenant = rng.UniformInt(0, ref->num_tenants() - 1);
-      ASSERT_EQ(ref->RemoveTenant(tenant).ToString(),
-                (*sharded)->RemoveTenant(tenant).ToString());
-      if (added < 4 && rng.UniformInt(0, 1) == 0) {
-        const int t = kTenants + added++;
-        auto ida =
-            ref->AddTenantWithDefaultPrior(kModels, Costs(t, kModels));
-        auto idb =
-            (*sharded)->AddTenantWithDefaultPrior(kModels, Costs(t, kModels));
-        ASSERT_TRUE(ida.ok() && idb.ok());
-        ASSERT_EQ(*ida, *idb);
-      }
-    }
-    if (op % 97 == 0) {
-      for (int t = 0; t < ref->num_tenants(); ++t) {
-        ASSERT_EQ(ref->RoundsServed(t).value(),
-                  (*sharded)->RoundsServed(t).value());
-        ASSERT_EQ(ref->BestAccuracy(t).value(),
-                  (*sharded)->BestAccuracy(t).value());
-      }
-    }
-  }
-  // Drain every outstanding ticket in a final permuted order.
-  while (!open_ref.empty()) {
-    const int pick = rng.UniformInt(0, static_cast<int>(open_ref.size()) - 1);
-    const Assignment a = open_ref[pick];
-    const Assignment b = open_sharded[pick];
-    open_ref.erase(open_ref.begin() + pick);
-    open_sharded.erase(open_sharded.begin() + pick);
-    const double acc = Accuracy(a.tenant, a.model);
-    ASSERT_EQ(ref->Report(a, acc).ToString(),
-              (*sharded)->Report(b, acc).ToString());
-  }
-  for (int t = 0; t < ref->num_tenants(); ++t) {
-    SCOPED_TRACE("tenant=" + std::to_string(t));
-    EXPECT_EQ(ref->RoundsServed(t).value(),
-              (*sharded)->RoundsServed(t).value());
-    EXPECT_EQ(ref->BestModel(t).status().ToString(),
-              (*sharded)->BestModel(t).status().ToString());
-    if (ref->BestModel(t).ok()) {
-      EXPECT_EQ(ref->BestModel(t).value(), (*sharded)->BestModel(t).value());
-    }
-    EXPECT_EQ(ref->BestAccuracy(t).value(),
-              (*sharded)->BestAccuracy(t).value());
-  }
-  EXPECT_TRUE((*sharded)->ValidateIndex().ok());
-}
-
-TEST(ReportPipelineStressTest, OutOfOrderLockstepParityGreedyIndexed) {
-  for (int shards : {1, 2, 4, 7}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    RunOutOfOrderLockstep(SchedulerKind::kGreedy, shards, /*use_index=*/true);
-  }
-}
-
-TEST(ReportPipelineStressTest, OutOfOrderLockstepParityHybridIndexed) {
-  for (int shards : {1, 2, 4, 7}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    RunOutOfOrderLockstep(SchedulerKind::kHybrid, shards, /*use_index=*/true);
-  }
-}
-
-TEST(ReportPipelineStressTest, OutOfOrderLockstepParityGreedyScan) {
-  for (int shards : {2, 7}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    RunOutOfOrderLockstep(SchedulerKind::kGreedy, shards, /*use_index=*/false);
   }
 }
 

@@ -1,12 +1,7 @@
-/// Conformance suite for the sharded selector engine: for every scheduler
-/// policy, shard count N in {1, 2, 4, 7} and candidate-index mode (scan vs
-/// index-backed picks), a full campaign driven through
-/// `ShardedMultiTenantSelector` must replay the UNSHARDED, scan-backed
-/// `MultiTenantSelector` bit-identically — same (tenant, model, ticket)
-/// trace from `Next()`, same refusal statuses, same final per-tenant state —
-/// including under multi-device operation and tenant churn
-/// (RemoveTenant/AddTenant mid-campaign). A pinned golden trace guards the
-/// whole stack against silent drift.
+/// The engine factory and a pinned golden trace of the sharded engine. That
+/// every shard count and index mode replays the sequential scan engine
+/// op-for-op is checked by the differential harness
+/// (tests/differential/).
 #include "shard/sharded_selector.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,10 +21,6 @@ using core::MultiTenantSelector;
 using core::SchedulerKind;
 using core::SelectorOptions;
 using Assignment = MultiTenantSelector::Assignment;
-
-constexpr SchedulerKind kAllKinds[] = {
-    SchedulerKind::kHybrid, SchedulerKind::kGreedy, SchedulerKind::kRoundRobin,
-    SchedulerKind::kRandom, SchedulerKind::kFcfs};
 
 /// Deterministic ground-truth accuracy in (0, 1): an integer hash, NOT libm
 /// transcendentals, so every platform and thread computes identical bits.
@@ -48,199 +38,15 @@ std::vector<double> Costs(int tenant, int models) {
   return costs;
 }
 
-/// One event of a campaign trace. `op` is 'N' (Next), 'R' (Report),
-/// 'C' (Cancel), '-' (RemoveTenant), '+' (AddTenant); `code` records the
-/// Status code so refusals must match across engines too.
-struct Event {
-  char op;
-  int tenant;
-  int model;
-  int64_t id;
-  int code;
-
-  bool operator==(const Event& other) const {
-    return op == other.op && tenant == other.tenant && model == other.model &&
-           id == other.id && code == other.code;
-  }
-};
-
-std::string ToString(const Event& e) {
-  return std::string(1, e.op) + "(" + std::to_string(e.tenant) + "," +
-         std::to_string(e.model) + "," + std::to_string(e.id) + ")s" +
-         std::to_string(e.code);
-}
-
-/// Drives one full campaign: keep every device slot filled, then hand back
-/// a pseudo-randomly chosen outstanding completion (the same seeded choice
-/// sequence for every engine), optionally cancelling some completions and
-/// churning tenants. Returns the full event trace.
-std::vector<Event> Drive(MultiTenantSelector* selector, int tenants,
-                         int models, bool churn) {
-  Rng rng(2026);
-  std::vector<Event> trace;
-  std::vector<Assignment> outstanding;
-  for (int t = 0; t < tenants; ++t) {
-    EXPECT_TRUE(
-        selector->AddTenantWithDefaultPrior(models, Costs(t, models)).ok());
-  }
-  int reports = 0;
-  int added = 0;
-  while (true) {
-    while (selector->HasDispatchableWork()) {
-      auto a = selector->Next();
-      if (!a.ok()) {
-        ADD_FAILURE() << a.status().ToString();
-        return trace;
-      }
-      trace.push_back({'N', a->tenant, a->model, a->id, 0});
-      outstanding.push_back(*a);
-    }
-    if (outstanding.empty()) break;
-    const int pick =
-        rng.UniformInt(0, static_cast<int>(outstanding.size()) - 1);
-    const Assignment a = outstanding[pick];
-    outstanding.erase(outstanding.begin() + pick);
-    if (rng.UniformInt(0, 9) == 0) {
-      // Occasional device failure: the ticket is returned via Cancel and
-      // the (tenant, model) becomes dispatchable again.
-      const Status st = selector->Cancel(a);
-      trace.push_back(
-          {'C', a.tenant, a.model, a.id, static_cast<int>(st.code())});
-    } else {
-      const Status st = selector->Report(a, Accuracy(a.tenant, a.model));
-      trace.push_back(
-          {'R', a.tenant, a.model, a.id, static_cast<int>(st.code())});
-      ++reports;
-    }
-    if (churn) {
-      if (reports % 7 == 3) {
-        // May be refused (in-flight tickets) — the refusal must replay too.
-        const int victim = reports % selector->num_tenants();
-        const Status st = selector->RemoveTenant(victim);
-        trace.push_back({'-', victim, -1, -1, static_cast<int>(st.code())});
-      }
-      if (reports % 11 == 5 && added < 3) {
-        auto id = selector->AddTenantWithDefaultPrior(
-            models, Costs(selector->num_tenants(), models));
-        EXPECT_TRUE(id.ok());
-        trace.push_back({'+', id.ok() ? *id : -1, -1, -1, 0});
-        ++added;
-      }
-    }
-  }
-  // Final per-tenant state must agree as well; fold it into the trace.
-  for (int t = 0; t < selector->num_tenants(); ++t) {
-    auto best = selector->BestModel(t);
-    auto rounds = selector->RoundsServed(t);
-    trace.push_back({'B', t, best.ok() ? *best : -1,
-                     rounds.ok() ? static_cast<int64_t>(*rounds) : -1,
-                     static_cast<int>(best.status().code())});
-  }
-  return trace;
-}
-
-SelectorOptions MakeOptions(SchedulerKind kind, int devices, int shards,
-                            bool use_index = false) {
+SelectorOptions MakeOptions(SchedulerKind kind, int devices, int shards) {
   SelectorOptions options;
   options.scheduler = kind;
   options.hybrid_patience = 3;  // small enough to exercise the freeze switch
   options.seed = 7;
   options.num_devices = devices;
   options.num_shards = shards;
-  options.use_candidate_index = use_index;
   return options;
 }
-
-void ExpectSameTrace(const std::vector<Event>& expected,
-                     const std::vector<Event>& actual,
-                     const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_TRUE(expected[i] == actual[i])
-        << label << ": divergence at event " << i << ": expected "
-        << ToString(expected[i]) << ", got " << ToString(actual[i]);
-  }
-}
-
-class ShardedConformanceTest
-    : public ::testing::TestWithParam<std::tuple<SchedulerKind, int>> {};
-
-TEST_P(ShardedConformanceTest, ReplaysUnshardedBitIdentically) {
-  const SchedulerKind kind = std::get<0>(GetParam());
-  const int devices = std::get<1>(GetParam());
-  constexpr int kTenants = 13;
-  constexpr int kModels = 5;
-
-  auto sequential =
-      MultiTenantSelector::Create(MakeOptions(kind, devices, 1));
-  ASSERT_TRUE(sequential.ok());
-  const std::vector<Event> reference =
-      Drive(&sequential.value(), kTenants, kModels, /*churn=*/false);
-
-  for (int shards : {1, 2, 4, 7}) {
-    for (bool use_index : {false, true}) {
-      auto engine =
-          MakeSelector(MakeOptions(kind, devices, shards, use_index));
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      const std::vector<Event> trace =
-          Drive(engine->get(), kTenants, kModels, /*churn=*/false);
-      ExpectSameTrace(reference, trace,
-                      core::SchedulerKindName(kind) + "/D=" +
-                          std::to_string(devices) + "/N=" +
-                          std::to_string(shards) +
-                          (use_index ? "/index" : "/scan"));
-      EXPECT_TRUE((*engine)->ValidateIndex().ok());
-    }
-  }
-}
-
-TEST_P(ShardedConformanceTest, ReplaysUnshardedUnderTenantChurn) {
-  const SchedulerKind kind = std::get<0>(GetParam());
-  const int devices = std::get<1>(GetParam());
-  constexpr int kTenants = 11;
-  constexpr int kModels = 4;
-
-  auto sequential =
-      MultiTenantSelector::Create(MakeOptions(kind, devices, 1));
-  ASSERT_TRUE(sequential.ok());
-  const std::vector<Event> reference =
-      Drive(&sequential.value(), kTenants, kModels, /*churn=*/true);
-
-  for (int shards : {1, 2, 4, 7}) {
-    for (bool use_index : {false, true}) {
-      if (shards == 1 && !use_index) continue;  // that IS the reference
-      auto engine =
-          MakeSelector(MakeOptions(kind, devices, shards, use_index));
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      const std::vector<Event> trace =
-          Drive(engine->get(), kTenants, kModels, /*churn=*/true);
-      ExpectSameTrace(reference, trace,
-                      core::SchedulerKindName(kind) + "/churn/D=" +
-                          std::to_string(devices) + "/N=" +
-                          std::to_string(shards) +
-                          (use_index ? "/index" : "/scan"));
-      // Churn is where placement and leaves could desynchronize: the
-      // rebuilt index must replay every aggregate from scratch cleanly.
-      const Status valid = (*engine)->ValidateIndex();
-      EXPECT_TRUE(valid.ok()) << valid.ToString();
-    }
-  }
-}
-
-std::string ParamName(
-    const ::testing::TestParamInfo<std::tuple<SchedulerKind, int>>& info) {
-  std::string name = core::SchedulerKindName(std::get<0>(info.param));
-  for (auto& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name + "_D" + std::to_string(std::get<1>(info.param));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchedulers, ShardedConformanceTest,
-    ::testing::Combine(::testing::ValuesIn(kAllKinds),
-                       ::testing::Values(1, 3)),
-    ParamName);
 
 /// The factory must return the plain engine at 1 shard and the sharded one
 /// above, both accepting the full ticketed protocol.
@@ -263,8 +69,8 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
 /// engine, pinned event by event. Guards the whole stack — shard map,
 /// routed arm selection, exact candidate threshold, argmax tie-breaks,
-/// ticket accounting — against silent drift; by the conformance tests
-/// above the same trace is what the sequential engine and every other
+/// ticket accounting — against silent drift; by the differential campaign
+/// profile the same trace is what the sequential engine and every other
 /// shard count produce.
 TEST(ShardedGoldenTraceTest, PinnedHybridCampaign) {
   static const char* const kGolden[] = {

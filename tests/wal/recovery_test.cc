@@ -1,7 +1,8 @@
 // OpenOrRecover end to end: fresh start, clean-shutdown replay, torn-tail
-// repair, the lost-ticket/duplicate-report taxonomy after a crash, WAL
-// on/off trace parity for every policy, checkpoint-based restart, and the
-// fail-stop poisoning of an engine whose log went away.
+// repair, the lost-ticket/duplicate-report taxonomy after a crash,
+// checkpoint-based restart, and the fail-stop poisoning of an engine whose
+// log went away. WAL on/off trace parity for every policy and WAL tier is
+// the differential harness's (tests/differential/).
 
 #include "wal/recovery.h"
 
@@ -199,44 +200,6 @@ TEST(OpenOrRecover, ReplayedDuplicateReportIsIdempotent) {
   EXPECT_EQ(dup.code(), StatusCode::kFailedPrecondition) << dup.ToString();
   // Idempotent: the duplicate left the recovered state untouched.
   EXPECT_EQ(StateFingerprint(*r.selector), before);
-}
-
-// fig09 bit-identity at the engine level: with the WAL enabled the
-// selection trace and final posteriors are bit-for-bit those of the plain
-// engine, for every policy.
-TEST(OpenOrRecover, WalOnOffTracesAreBitIdentical) {
-  const core::SchedulerKind kinds[] = {
-      core::SchedulerKind::kHybrid, core::SchedulerKind::kGreedy,
-      core::SchedulerKind::kRoundRobin, core::SchedulerKind::kRandom,
-      core::SchedulerKind::kFcfs};
-  for (const core::SchedulerKind kind : kinds) {
-    SelectorOptions options;
-    options.scheduler = kind;
-    options.seed = 123;
-
-    FaultInjectingFileSystem fs;
-    WAL_ASSERT_OK_AND_ASSIGN(RecoveredSelector durable,
-                             OpenOrRecover(&fs, "/d", options));
-    WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> plain,
-                             shard::MakeSelector(options));
-    WAL_ASSERT_OK(AddTwoTenants(*durable.selector));
-    WAL_ASSERT_OK(AddTwoTenants(*plain));
-
-    Rng rng(11);
-    for (int i = 0; i < 40 && !plain->Exhausted(); ++i) {
-      WAL_ASSERT_OK_AND_ASSIGN(const MultiTenantSelector::Assignment a,
-                               durable.selector->Next());
-      WAL_ASSERT_OK_AND_ASSIGN(const MultiTenantSelector::Assignment b,
-                               plain->Next());
-      ASSERT_EQ(a.tenant, b.tenant) << "policy " << static_cast<int>(kind);
-      ASSERT_EQ(a.model, b.model);
-      ASSERT_EQ(a.id, b.id);
-      const double accuracy = rng.Uniform(0.0, 1.0);
-      WAL_ASSERT_OK(durable.selector->Report(a, accuracy));
-      WAL_ASSERT_OK(plain->Report(b, accuracy));
-    }
-    EXPECT_EQ(StateFingerprint(*durable.selector), StateFingerprint(*plain));
-  }
 }
 
 TEST(OpenOrRecover, CheckpointRestartMatchesFullReplay) {
