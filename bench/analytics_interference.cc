@@ -2,11 +2,11 @@
 /// through the snapshot plane perturb the Next()/Report() hot path?
 ///
 /// The point of src/obs is that an analytics reader never touches the
-/// selector lock: shard workers publish immutable copy-on-write summary
-/// blocks at fold boundaries, and a scan walks the last published blocks.
+/// engine: the driving thread publishes immutable copy-on-write fleet
+/// snapshots at fold boundaries, and a scan walks the last published one.
 /// This bench quantifies both halves of that claim at T up to 1e5 tenants
-/// (GREEDY + candidate index, num_shards = 1, the serving configuration
-/// next_latency sweeps):
+/// (GREEDY + candidate index, the serving configuration next_latency
+/// sweeps):
 ///
 ///   arm "off"       observer unset — the PR8 baseline serving path.
 ///   arm "obs"       FleetObserver attached (snapshot plane + full metric
@@ -18,7 +18,7 @@
 /// not SLOW next_us_mean / report_us_mean by 5% or more (scripts/bench.sh
 /// computes the deltas). The gate is one-sided because the scan arm often
 /// runs slightly faster: a scanner holding a snapshot keeps the previous
-/// blocks alive across a publish, so their destruction migrates off the
+/// chunks alive across a publish, so their destruction migrates off the
 /// publishing driver thread onto the scanner — an offload, not
 /// interference. Timing is the single-core bench protocol — per-call
 /// CLOCK_THREAD_CPUTIME_ID on the driving thread, which charges the driver
@@ -45,7 +45,6 @@
 #include "obs/fleet_observer.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "shard/sharded_selector.h"
 
 namespace {
 
@@ -137,12 +136,12 @@ struct Cell {
 /// Full-fleet walk: touch every published observation (sum a few fields so
 /// the reads cannot be optimized away) and return the walked entry count.
 int64_t ScanOnce(const easeml::obs::SnapshotPlane& plane, double* sink) {
-  const easeml::obs::FleetSnapshot snap = plane.Snapshot();
+  const std::shared_ptr<const easeml::obs::FleetSnapshot> snap =
+      plane.Snapshot();
   int64_t walked = 0;
   double acc = 0.0;
-  snap.ForEachTenant(
-      [&walked, &acc](int shard, const easeml::core::TenantObservation& o) {
-        (void)shard;
+  snap->ForEachTenant(
+      [&walked, &acc](const easeml::core::TenantObservation& o) {
         ++walked;
         acc += o.best_reward + static_cast<double>(o.rounds_served);
       });
@@ -167,20 +166,18 @@ ArmState MakeArm(int tenants, Arm arm) {
   options.scheduler = SchedulerKind::kGreedy;
   options.cost_aware = true;
   options.num_devices = 1;
-  options.num_shards = 1;  // the serving configuration next_latency sweeps
   options.use_candidate_index = true;
 
   if (arm != Arm::kOff) {
     state.registry = std::make_unique<easeml::obs::Registry>();
     easeml::obs::FleetObserverOptions obs_options;
-    obs_options.num_shards = 1;
     obs_options.registry = state.registry.get();
     state.observer = std::make_unique<easeml::obs::FleetObserver>(obs_options);
     options.observer = state.observer.get();
   }
-  auto created = easeml::shard::MakeSelector(options);
+  auto created = MultiTenantSelector::Create(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
-  state.selector = std::move(*created);
+  state.selector = std::make_unique<MultiTenantSelector>(std::move(*created));
 
   auto prior = easeml::gp::MakeSharedGpPrior(
       easeml::linalg::Matrix::Identity(kModels), 1e-2);
@@ -261,7 +258,7 @@ Cell MeasureWindow(ArmState& state, int steps) {
 
 int main() {
   std::printf("analytics_interference: full-fleet snapshot scans vs the "
-              "serving hot path (GREEDY + index, 1 shard, %d measured "
+              "serving hot path (GREEDY + index, %d measured "
               "steps)\n\n",
               kMeasureSteps);
   std::printf("%8s %9s %12s %14s %8s %12s %12s\n", "tenants", "arm",
@@ -291,10 +288,9 @@ int main() {
     }
     for (int i = 0; i < 3; ++i) {
       if (arms[i].observer != nullptr) {
-        // Engine idle (base engine at N=1 folds inline): flush publishes
-        // every remaining event.
-        arms[i].observer->plane().FlushAll();
-        total[i].fleet_epoch = arms[i].observer->plane().Snapshot().epoch();
+        // Engine idle: flush publishes every remaining event.
+        arms[i].observer->plane().Flush();
+        total[i].fleet_epoch = arms[i].observer->plane().Snapshot()->epoch;
       }
     }
     for (int i = 0; i < 3; ++i) {

@@ -4,33 +4,18 @@
 /// cost. The scan engines rescan all T tenants (GREEDY additionally reads
 /// the batched MaxUcb diagnostics of every candidate) even though a Report
 /// changes one tenant's summary; the candidate index replays one O(log T)
-/// leaf path per event and answers the pick from the shard roots. This
+/// leaf path per event and answers the pick from the tournament root. This
 /// bench sweeps T with BOTH engines on identical campaigns (the traces are
-/// bit-identical — pinned by the index/scan conformance suite) and reports
+/// bit-identical — pinned by the differential harness) and reports
 /// the per-call cost of `Next()` and `Report()` separately, because the
 /// index deliberately moves work to the report path (the leaf refresh).
 ///
-/// Timing follows the single-core bench protocol: CLOCK_THREAD_CPUTIME_ID
-/// around each call on the driving thread (num_shards = 1, so both engines
-/// run entirely on it) — thread CPU clocks are not inflated by host
-/// oversubscription, unlike wall time on this one-core container.
-///
-/// A second section measures the shard-parallel REPORT pipeline: the
-/// sharded engine validates a completion under its coordinator lock and
-/// queues the O(t^2) belief fold on the tenant's owning shard worker, so
-/// D in-flight completions fold concurrently across N shards instead of
-/// serializing under the engine lock. The driver fills all D device slots,
-/// hands the D completions back in a burst, and charges the burst's fold
-/// cost at its parallel critical path — the max over shard workers of the
-/// CLOCK_THREAD_CPUTIME_ID delta (on a one-core host wall time cannot show
-/// the overlap, the per-worker CPU clocks can). `report_us_mean` is that
-/// critical path per completion: N=1 is the serialized engine (every fold
-/// on one worker); it should fall roughly with the shard count at fixed D.
+/// Timing: CLOCK_THREAD_CPUTIME_ID around each call on the driving thread,
+/// which runs the whole engine — thread CPU clocks are not inflated by host
+/// oversubscription, unlike wall time on a one-core host.
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
-///   REPORT_TP,<tenants>,<devices>,<shards>,<reports>,<report_us_mean>,<coord_us_mean>,<wall_us_mean>
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -42,7 +27,6 @@
 #include "core/multi_tenant_selector.h"
 #include "gp/shared_prior_gp.h"
 #include "linalg/matrix.h"
-#include "shard/sharded_selector.h"
 
 namespace {
 
@@ -73,12 +57,10 @@ Cell RunCampaign(int tenants, bool use_index) {
   options.scheduler = SchedulerKind::kGreedy;
   options.cost_aware = true;
   options.num_devices = 1;
-  options.num_shards = 1;  // both engines on the driving thread: the thread
-                           // CPU clock IS the critical path for each
   options.use_candidate_index = use_index;
-  auto created = easeml::shard::MakeSelector(options);
+  auto created = MultiTenantSelector::Create(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
-  MultiTenantSelector* selector = created->get();
+  MultiTenantSelector* selector = &created.value();
 
   auto prior = easeml::gp::MakeSharedGpPrior(
       easeml::linalg::Matrix::Identity(kModels), 1e-2);
@@ -116,90 +98,6 @@ Cell RunCampaign(int tenants, bool use_index) {
   return cell;
 }
 
-double WallSeconds() { return easeml::MonotonicSeconds(); }
-
-struct TpCell {
-  int reports = 0;
-  double report_us = 0.0;  // fold critical path (max over workers) per report
-  double coord_us = 0.0;   // driver CPU inside the Report() calls per report
-  double wall_us = 0.0;    // wall per report, burst dispatch to full drain
-};
-
-/// One report-throughput campaign: D device slots, N shards, GREEDY +
-/// candidate index (Report carries the leaf refresh). The driver
-/// alternates slot-filling Next() bursts with Report() bursts; the
-/// coordinator phase returns immediately (GREEDY's OnOutcome observes
-/// nothing), so the burst's folds overlap across shards even though the
-/// driver is one thread — concurrent reporter threads would measure the
-/// same fold pipeline plus lock contention noise.
-TpCell RunReportThroughput(int tenants, int devices, int shards) {
-  SelectorOptions options;
-  options.scheduler = SchedulerKind::kGreedy;
-  options.cost_aware = true;
-  options.num_devices = devices;
-  options.num_shards = shards;
-  options.use_candidate_index = true;
-  // Build the sharded engine even at N=1: the serialized baseline must pay
-  // the same queue machinery, so the column isolates the parallelism.
-  auto created = easeml::shard::ShardedMultiTenantSelector::Create(options);
-  EASEML_CHECK(created.ok()) << created.status().ToString();
-  easeml::shard::ShardedMultiTenantSelector* selector = created->get();
-
-  auto prior = easeml::gp::MakeSharedGpPrior(
-      easeml::linalg::Matrix::Identity(kModels), 1e-2);
-  EASEML_CHECK(prior.ok()) << prior.status().ToString();
-  for (int t = 0; t < tenants; ++t) {
-    std::vector<double> costs;
-    for (int m = 0; m < kModels; ++m) {
-      costs.push_back(1.0 + 0.25 * ((t + m) % kModels));
-    }
-    EASEML_CHECK(selector->AddTenant(*prior, costs).ok());
-  }
-  // Initialization sweep, unmeasured.
-  for (int t = 0; t < tenants; ++t) {
-    auto a = selector->Next();
-    EASEML_CHECK(a.ok()) << a.status().ToString();
-    EASEML_CHECK(selector->Report(*a, Accuracy(a->tenant, a->model)).ok());
-  }
-
-  TpCell cell;
-  std::vector<MultiTenantSelector::Assignment> batch;
-  while (true) {
-    batch.clear();
-    while (static_cast<int>(batch.size()) < devices) {
-      auto a = selector->Next();
-      if (!a.ok()) break;  // slots full / everything in flight / exhausted
-      batch.push_back(*a);
-    }
-    if (batch.empty()) break;
-    // Worker-CPU snapshot AFTER the Next() burst: the picks' routed
-    // SelectArm work must not be charged to the report pipeline.
-    // (ShardCpuSeconds drains the queues, so the baseline is quiescent.)
-    const std::vector<double> cpu0 = selector->ShardCpuSeconds();
-    const double wall0 = WallSeconds();
-    const double coord0 = ThreadCpuSeconds();
-    for (const auto& a : batch) {
-      EASEML_CHECK(selector->Report(a, Accuracy(a.tenant, a.model)).ok());
-    }
-    const double coord1 = ThreadCpuSeconds();
-    const std::vector<double> cpu1 = selector->ShardCpuSeconds();  // drains
-    const double wall1 = WallSeconds();
-    double max_delta = 0.0;
-    for (size_t w = 0; w < cpu1.size(); ++w) {
-      max_delta = std::max(max_delta, cpu1[w] - cpu0[w]);
-    }
-    cell.report_us += max_delta * 1e6;
-    cell.coord_us += (coord1 - coord0) * 1e6;
-    cell.wall_us += (wall1 - wall0) * 1e6;
-    cell.reports += static_cast<int>(batch.size());
-  }
-  EASEML_CHECK(cell.reports > 0);
-  cell.report_us /= cell.reports;
-  cell.coord_us /= cell.reports;
-  cell.wall_us /= cell.reports;
-  return cell;
-}
-
 }  // namespace
 
 int main() {
@@ -220,29 +118,6 @@ int main() {
       std::printf("NEXT_LATENCY,%d,%s,%.3f,%.3f\n", tenants,
                   use_index ? "index" : "scan", cell.next_us, cell.report_us);
     }
-  }
-
-  constexpr int kTpTenants = 240;
-  std::printf(
-      "\n# Report throughput: shard-parallel fold pipeline (GREEDY+index, "
-      "T=%d, K=%d; report_us_mean = max-over-workers thread-CPU critical "
-      "path per completion)\n",
-      kTpTenants, kModels);
-  std::printf("%8s %7s | %14s %13s %12s\n", "devices", "shards",
-              "report_us_mean", "coord_us_mean", "wall_us_mean");
-  // Two sweeps: shard scaling at D=8 (N=1 is the serialized engine — all
-  // folds on one worker), then device scaling at N=8.
-  const int kCells[][2] = {{8, 1}, {8, 2}, {8, 4}, {8, 8},
-                           {1, 8}, {2, 8}, {4, 8}};
-  for (const auto& dn : kCells) {
-    const int devices = dn[0];
-    const int shards = dn[1];
-    const TpCell cell = RunReportThroughput(kTpTenants, devices, shards);
-    std::printf("%8d %7d | %14.3f %13.3f %12.3f\n", devices, shards,
-                cell.report_us, cell.coord_us, cell.wall_us);
-    std::printf("REPORT_TP,%d,%d,%d,%d,%.3f,%.3f,%.3f\n", kTpTenants, devices,
-                shards, cell.reports, cell.report_us, cell.coord_us,
-                cell.wall_us);
   }
   return 0;
 }

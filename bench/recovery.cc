@@ -43,7 +43,6 @@
 #include "core/multi_tenant_selector.h"
 #include "gp/shared_prior_gp.h"
 #include "linalg/matrix.h"
-#include "shard/sharded_selector.h"
 #include "wal/checkpoint.h"
 #include "wal/file.h"
 #include "wal/recovery.h"
@@ -78,7 +77,6 @@ SelectorOptions ServeOptions() {
   options.scheduler = SchedulerKind::kGreedy;
   options.cost_aware = true;
   options.num_devices = 1;
-  options.num_shards = 1;
   options.use_candidate_index = true;
   return options;
 }
@@ -171,9 +169,9 @@ std::vector<Cell> RunServeCampaigns(int tenants,
       arm.wal = std::move(*opened);
       options.wal = arm.wal.get();
     }
-    auto created = easeml::shard::MakeSelector(options);
+    auto created = MultiTenantSelector::Create(options);
     EASEML_CHECK(created.ok()) << created.status().ToString();
-    arm.selector = std::move(*created);
+    arm.selector = std::make_unique<MultiTenantSelector>(std::move(*created));
     AddFleet(arm.selector.get(), tenants);
     // Initialization sweep (unmeasured): serve every tenant once so the
     // measured windows run in the regular GREEDY regime.
@@ -272,9 +270,9 @@ void RunRecoverySweep() {
       EASEML_CHECK(opened.ok()) << opened.status().ToString();
       SelectorOptions wired = options;
       wired.wal = opened->get();
-      auto created = easeml::shard::MakeSelector(wired);
+      auto created = MultiTenantSelector::Create(wired);
       EASEML_CHECK(created.ok()) << created.status().ToString();
-      MultiTenantSelector* selector = created->get();
+      MultiTenantSelector* selector = &created.value();
       AddFleet(selector, tenants);
       for (int step = 0; step < ops; ++step) {
         auto a = selector->Next();

@@ -2,13 +2,7 @@
 # Uniform perf-bench runner: executes the selector-scaling benchmarks —
 #   bench/scaling_tenants        (T x K sweep of the shared-prior engine)
 #   bench/next_latency           (per-Next() cost: O(T) scan vs candidate
-#                                 index. Also emits the REPORT_TP rows:
-#                                 the shard-parallel report-throughput
-#                                 sweep — one row per (devices, shards)
-#                                 cell with the per-completion fold
-#                                 critical path, coordinator-phase cost,
-#                                 and wall time; parsed into the JSON's
-#                                 report_throughput section.)
+#                                 index)
 #   bench/analytics_interference (obs-plane interference: Next/Report
 #                                 means with the observer off, on, and on
 #                                 with a continuous full-fleet snapshot
@@ -109,17 +103,6 @@ for t in sorted({r[0] for r in rows}):
     scan = next(r for r in rows if r[0] == t and r[1] == 'scan')
     index = next(r for r in rows if r[0] == t and r[1] == 'index')
     speedups[str(t)] = round(scan[2] / index[2], 2)
-
-tp_rows = []
-for line in next_latency.splitlines():
-    if line.startswith('REPORT_TP,'):
-        _, tenants, devices, shards, reports, rep_us, coord_us, wall_us = \
-            line.split(',')
-        tp_rows.append([int(tenants), int(devices), int(shards), int(reports),
-                        float(rep_us), float(coord_us), float(wall_us)])
-
-def tp_cell(devices, shards):
-    return next(r for r in tp_rows if r[1] == devices and r[2] == shards)
 
 # Observability-plane interference: ANALYTICS_IF,<tenants>,<arm>,
 # <next_us_mean>,<report_us_mean>,<scans>,<scan_ms_mean>,<fleet_epoch>.
@@ -226,19 +209,13 @@ doc = {
         '(kBuffered) vs an fsync per ack — and what recovery costs at '
         'restart (full-log replay vs checkpoint + empty suffix). '
         'Prior-PR context: next_latency drives identical '
-        'GREEDY campaigns (bit-identical traces, pinned by the index/scan '
-        'conformance suite) through the scan engine and the index-backed '
-        'engine, timing Next() and Report() separately with '
+        'GREEDY campaigns (bit-identical traces, pinned by the differential '
+        'harness) through the scan engine and the index-backed engine, '
+        'timing Next() and Report() separately with '
         'CLOCK_THREAD_CPUTIME_ID on the driving thread (thread-CPU clocks '
-        'are not inflated by host oversubscription; this container has one '
-        'core). The index answers Next() from per-shard tournament roots '
-        'and pays an O(log T) leaf replay per Report instead of an O(T K) '
-        'rescan per Next. The report_throughput section measures the PR 8 '
-        'shard-parallel report pipeline: Report validates the ticket under '
-        'the coordinator lock and queues the O(t^2) belief fold on the '
-        'tenant\'s owning shard worker, so a burst of D completions folds '
-        'concurrently across N shards; report_us_mean is the per-completion '
-        'fold critical path (max over workers of the thread-CPU delta).',
+        'are not inflated by host oversubscription). The index answers '
+        'Next() from its tournament root and pays an O(log T) leaf replay '
+        'per Report instead of an O(T K) rescan per Next.',
     'recorded': datetime.date.today().isoformat(),
     'command': './' + ' && ./'.join(
         build_dir + '/bench/' + b
@@ -267,27 +244,6 @@ doc = {
                 next(r[2] for r in rows if r[0] == 1000 and r[1] == 'index'),
                 next(r[2] for r in rows if r[0] == 100000 and r[1] == 'index'),
                 speedups.get('100000')),
-    },
-    'report_throughput': {
-        'scheduler': 'greedy',
-        'use_candidate_index': True,
-        'tenants': 240,
-        'models_per_tenant': 6,
-        'columns': ['tenants', 'devices', 'shards', 'reports',
-                    'report_us_mean', 'coord_us_mean', 'wall_us_mean'],
-        'rows': tp_rows,
-        'fold_critical_path_speedup_n8_vs_n1_at_d8':
-            round(tp_cell(8, 1)[4] / tp_cell(8, 8)[4], 2),
-        'headline':
-            'Shard-parallel report pipeline: with all 8 device slots '
-            'completing in bursts, the per-completion fold critical path '
-            '(max-over-shard-workers thread CPU) falls from {} us on the '
-            'serialized engine (N=1: every fold on one worker) to {} us at '
-            'N=8 — {}x — while the coordinator phase (ticket validation + '
-            'enqueue) stays a constant-time sliver of the old under-lock '
-            'fold.'.format(
-                tp_cell(8, 1)[4], tp_cell(8, 8)[4],
-                round(tp_cell(8, 1)[4] / tp_cell(8, 8)[4], 2)),
     },
     'recovery_durability': {
         'scheduler': 'greedy',

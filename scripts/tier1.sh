@@ -8,22 +8,21 @@
 #   sanitizer presets:
 #     asan  — ASan+UBSan   (-DEASEML_SANITIZE=address,undefined)
 #     tsan  — ThreadSanitizer (-DEASEML_SANITIZE=thread), which races the
-#             async training executor, the multi-device pipeline, and the
-#             sharded selector engine (the differential harness in
-#             tests/differential/ drives every sharded configuration in
-#             lockstep with the scan reference, and the concurrent
-#             Next/Report/Cancel/RemoveTenant churn battery in tests/shard/
-#             races it; both run under every preset via ctest)
+#             async training executor, the multi-device pipeline, the
+#             snapshot plane's lock-free scans against a churning engine,
+#             and concurrent selector setup on the shared default-prior
+#             cache
 #     stress — multi-core repeat leg: builds the default (RelWithDebInfo)
-#             and the TSan configurations, then runs only the raced suites
-#             (ReportPipelineStress — the raced report batteries plus the
-#             harness's out_of_order profile —, ShardedStress,
-#             SnapshotStress, AsyncExecutorStress, and KillRecoverBattery —
-#             the harness's crash profile) in each with
-#             `ctest -j$(nproc) --repeat until-fail:20 --no-tests=error`,
-#             so a race that one core hides has every core and 20 tries to
-#             show up, and a renamed suite fails the leg instead of
-#             silently matching nothing.
+#             and the TSan configurations, then runs only the stress
+#             suites (ReportPipelineStress and KillRecoverBattery — the
+#             differential harness's out_of_order and crash profiles —,
+#             SnapshotStress, DefaultPriorCacheStress and
+#             AsyncExecutorStress) in each with
+#             `ctest -j$(nproc) --repeat until-fail:20`, so a race that one
+#             core hides has every core and 20 tries to show up. Each suite
+#             name is first checked on its own with `ctest -N -R`: a
+#             retired or renamed suite fails the leg instead of silently
+#             dropping out of the alternation.
 #     lint  — static-analysis leg: builds tools/easeml_lint and runs it
 #             over src/ (determinism & lock-discipline rules), then — when
 #             the pinned Clang major (or any newer clang) is installed —
@@ -96,15 +95,29 @@ if [[ "${CONFIG}" == "lint" ]]; then
 fi
 
 if [[ "${CONFIG}" == "stress" ]]; then
-  STRESS_SUITES='ReportPipelineStress|ShardedStress|SnapshotStress'
-  STRESS_SUITES+='|AsyncExecutorStress|KillRecoverBattery'
+  STRESS_SUITES=(ReportPipelineStress SnapshotStress DefaultPriorCacheStress
+                 AsyncExecutorStress KillRecoverBattery)
   run_stress() {  # BUILD_DIR SANITIZE ("" for none)
     echo "== stress: $1 (sanitize='$2'), 20 repeats on $(nproc) cores"
     cmake -B "$1" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DEASEML_SANITIZE="$2"
     cmake --build "$1" -j
+    # One suite at a time: `--no-tests=error` on the joined pattern only
+    # fires when the WHOLE alternation matches nothing.
+    local suite count
+    for suite in "${STRESS_SUITES[@]}"; do
+      count="$(cd "$1" && ctest -N -R "${suite}" |
+               sed -n 's/^Total Tests: //p')"
+      if [[ "${count:-0}" -eq 0 ]]; then
+        echo "stress: suite '${suite}' matches no test in $1" >&2
+        exit 1
+      fi
+      echo "stress: ${suite}: ${count} test(s)"
+    done
+    local pattern
+    pattern="$(IFS='|'; echo "${STRESS_SUITES[*]}")"
     (cd "$1" && ctest --output-on-failure -j"$(nproc)" \
-       --repeat until-fail:20 --no-tests=error -R "${STRESS_SUITES}")
+       --repeat until-fail:20 --no-tests=error -R "${pattern}")
   }
   run_stress build ""
   run_stress build-tsan thread

@@ -8,17 +8,17 @@ namespace easeml {
 
 /// Exact, summation-order-invariant accumulation of IEEE-754 doubles.
 ///
-/// Floating-point addition is not associative, so a sum computed per shard
-/// and then merged generally differs (in the last ulps) from the same sum
-/// computed sequentially — enough to flip threshold comparisons such as
-/// GREEDY's candidate-set test and break the candidate index's
+/// Floating-point addition is not associative, so a sum maintained
+/// incrementally (bounds added and later subtracted as tenants change)
+/// generally differs (in the last ulps) from the same sum computed fresh —
+/// enough to flip threshold comparisons such as GREEDY's candidate-set test and break the candidate index's
 /// bit-identical replay of the scan. `ExactDoubleSum` removes the problem
 /// at the root: every finite double is an integer multiple of 2^-1074, so
 /// the sum is held as a wide fixed-point integer (64-bit limbs of 32 value
 /// bits each, covering the full double exponent range). Integer addition
 /// is exact and commutative, hence `Add`/`Merge` yield the same
 /// accumulator for ANY ordering or partition of the inputs — the invariant
-/// the candidate index's cross-shard merge relies on.
+/// the candidate index's incremental aggregate relies on.
 ///
 /// Thresholds are evaluated without ever rounding: `CompareScaled(x, n)`
 /// returns the exact sign of (x * n - sum), i.e. "is x at least the mean of

@@ -16,8 +16,8 @@ inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
 /// SplitMix64 step: adds the golden gamma and applies the finalizer — a
 /// fast, high-quality 64-bit mix that decorrelates structured integers.
 /// Used wherever a deterministic, platform-independent hash of small ids
-/// is needed (shard placement of consecutive tenant ids, per-repetition
-/// child seeds, synthetic ground-truth accuracies in benches/tests).
+/// is needed (per-repetition child seeds, synthetic ground-truth accuracies
+/// in benches/tests).
 uint64_t SplitMix64(uint64_t x);
 
 /// Deterministic pseudo-random number generator used throughout the library.

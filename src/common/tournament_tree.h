@@ -37,8 +37,7 @@ namespace easeml {
 /// child index arithmetic; the policy-specific query logic lives with the
 /// summary type, not here.
 ///
-/// Not thread-safe; the owning engine serializes access (one writer per
-/// shard tree, reads behind the selector's synchronization).
+/// Not thread-safe; the owning engine serializes access.
 template <typename Summary>
 class TournamentTree {
  public:

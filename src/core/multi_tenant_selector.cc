@@ -62,29 +62,27 @@ Result<MultiTenantSelector> MultiTenantSelector::Create(
   if (options.num_devices < 1) {
     return Status::InvalidArgument("Selector: num_devices must be >= 1");
   }
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("Selector: num_shards must be >= 1");
+  if (options.num_shards != 1) {
+    return Status::InvalidArgument("Selector: num_shards must be 1");
   }
   auto sched = MakeSchedulerPolicy(options);
   if (sched == nullptr) {
     return Status::InvalidArgument("Selector: unknown scheduler kind");
   }
   MultiTenantSelector selector(options, std::move(sched));
-  if (options.use_candidate_index) {
-    // The base engine is the 1-shard engine; the sharded engine swaps in
-    // an N-shard index (ResetIndex) before any tenant exists.
-    selector.ResetIndex(1);
-  }
+  if (options.use_candidate_index) selector.ResetIndex(1);
   return selector;
 }
 
 void MultiTenantSelector::ResetIndex(int num_shards) {
+  EASEML_CHECK(num_shards == 1)
+      << "ResetIndex: the candidate index is one tree; got num_shards = "
+      << num_shards;
   // Only GREEDY (and HYBRID's greedy phase) read bounds/gaps; the other
   // schedulers' keys skip the O(K) UcbGap derivation per event.
   const bool track_gap = options_.scheduler == SchedulerKind::kGreedy ||
                          options_.scheduler == SchedulerKind::kHybrid;
-  index_ =
-      std::make_unique<scheduler::CandidateIndex>(num_shards, track_gap);
+  index_ = std::make_unique<scheduler::CandidateIndex>(track_gap);
 }
 
 void MultiTenantSelector::RefreshIndexEntry(int tenant) {
@@ -149,9 +147,9 @@ Result<int> MultiTenantSelector::AddTenantWithBelief(
 }
 
 void MultiTenantSelector::OnTenantAdded(int tenant) {
-  // New ids are globally maximal, so the 1-shard index extends at the tail
-  // in O(log T) — never a rebuild on the add path.
-  if (index_ != nullptr) index_->AppendTenant(0, users_[tenant]);
+  // New ids are globally maximal, so the index extends at the tail in
+  // O(log T) — never a rebuild on the add path.
+  if (index_ != nullptr) index_->AppendTenant(users_[tenant]);
   if (options_.observer != nullptr) {
     options_.observer->OnTenantPlaced(tenant, 0);
     NotifyTenantEvent(tenant);
@@ -224,7 +222,7 @@ Result<int> MultiTenantSelector::AddTenant(
 namespace {
 
 /// Process-wide default-prior cache, one prior per (K, noise variance).
-/// Mutex-guarded because concurrent shard setup reaches it; weak_ptr
+/// Mutex-guarded because selectors on different threads reach it; weak_ptr
 /// entries let a prior die with its last tenant instead of pinning the
 /// Gram matrix forever. The mutex lives in the same struct as the map it
 /// guards so the guarded-by relation is expressible (and compile-checked)
@@ -295,9 +293,7 @@ Result<int> MultiTenantSelector::AddTenantWithDefaultPrior(
       state.cache[{num_models, noise_variance}] = prior;
     }
   }
-  // Qualified call: the engine's public override already holds its lock
-  // when it reaches this base implementation.
-  return MultiTenantSelector::AddTenant(std::move(prior), std::move(costs));
+  return AddTenant(std::move(prior), std::move(costs));
 }
 
 Status MultiTenantSelector::RemoveTenant(int tenant) {
@@ -316,13 +312,9 @@ Status MultiTenantSelector::RemoveTenant(int tenant) {
         " in-flight ticket(s); Report or Cancel them first");
   }
   user.Retire();
-  // Neutralize the leaf before the placement hook: the base engine keeps
-  // retired ids placed (neutral), the sharded engine unmaps + resyncs.
+  // A retired tenant keeps its (neutral) leaf and its observer slot.
   RefreshIndexEntry(tenant);
-  // The retirement event fires while the tenant is still placed; the
-  // sharded placement hook below then drops it from the observer's map.
   NotifyTenantEvent(tenant);
-  OnTenantRemoved(tenant);
   if (options_.wal != nullptr) {
     EASEML_RETURN_NOT_OK(WalApply(options_.wal->LogRemoveTenant(tenant)));
     EASEML_RETURN_NOT_OK(SyncWal());
@@ -342,10 +334,10 @@ bool MultiTenantSelector::HasDispatchableWork() const {
   if (static_cast<int>(in_flight_.size()) >= options_.num_devices) {
     return false;
   }
-  // The index maintains the answer as an O(1)-per-shard root read; the
-  // async service consults this before every dispatch, so without it the
-  // "no scan" serving path would regress to O(T) right here.
-  if (index_ != nullptr) return index_->AnySchedulable();
+  // The index maintains the answer as an O(1) root read; the async service
+  // consults this before every dispatch, so without it the "no scan"
+  // serving path would regress to O(T) right here.
+  if (index_ != nullptr) return index_->Root().cnt_schedulable > 0;
   for (const auto& u : users_) {
     if (u.Schedulable()) return true;
   }
@@ -357,11 +349,11 @@ Result<int> MultiTenantSelector::PickTenant(int round) {
     // Index-backed pick: the init sweep and the any-work test are O(1)
     // root reads (exact min/or merges — the same reductions the scans
     // fold), then the policy answers from the tournament summaries.
-    const int first_uninitialized = index_->MinUninitialized();
-    if (first_uninitialized != scheduler::CandidateIndex::kNone) {
-      return first_uninitialized;
+    const scheduler::CandidateIndex::IndexNode& root = index_->Root();
+    if (root.min_uninitialized != scheduler::CandidateIndex::kNone) {
+      return root.min_uninitialized;
     }
-    if (!index_->AnySchedulable()) return NoDispatchableWorkStatus();
+    if (root.cnt_schedulable == 0) return NoDispatchableWorkStatus();
     return scheduler_->PickUserIndexed(users_, round, *index_);
   }
   // Initialization sweep (Algorithm 2 lines 1-4): any tenant without an
@@ -382,13 +374,6 @@ Result<int> MultiTenantSelector::PickTenant(int round) {
   }
   if (!any_schedulable) return NoDispatchableWorkStatus();
   return scheduler_->PickUser(users_, round);
-}
-
-Result<int> MultiTenantSelector::SelectArmFor(int tenant) {
-  Result<int> arm = users_[tenant].SelectArm();
-  RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
-  NotifyTenantEvent(tenant);
-  return arm;
 }
 
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
@@ -413,7 +398,9 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
     return picked.status();
   }
   const int tenant = *picked;
-  Result<int> selected = SelectArmFor(tenant);
+  Result<int> selected = users_[tenant].SelectArm();
+  RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
+  NotifyTenantEvent(tenant);
   if (obs != nullptr) {
     const double t2 = ThreadCpuSeconds();
     obs->OnNext(selected.ok(), (t1 - t0) * 1e6, (t2 - t1) * 1e6);
@@ -473,15 +460,9 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginReport(
     return Status::InvalidArgument("Report: accuracy must be finite");
   }
   const Assignment issued = it->second;
-  // Retiring the ticket here (before the fold) pins the duplicate-report
-  // taxonomy for asynchronous engines: the moment Report returns, a replay
-  // of the same ticket is FailedPrecondition even if the fold is still
-  // queued on the owning shard.
   in_flight_.erase(it);
   if (options_.wal != nullptr) {
-    // Appended inside the coordinator phase so log order = validation
-    // order even when folds run on shard workers; the engine syncs before
-    // acknowledging the Report.
+    // The engine syncs before acknowledging the Report.
     EASEML_RETURN_NOT_OK(WalApply(options_.wal->LogReport(
         issued.id, issued.tenant, issued.model, accuracy)));
   }
@@ -505,37 +486,35 @@ void MultiTenantSelector::FoldReportedOutcome(const Assignment& issued,
   NotifyTenantEvent(issued.tenant);
 }
 
-void MultiTenantSelector::FinishReport(int tenant) {
-  scheduler_->OnOutcome(users_, tenant);
-  ++round_;
-}
-
 Status MultiTenantSelector::Report(const Assignment& assignment,
                                    double accuracy) {
+  // Timed only when observed: the unobserved path reads no clocks. The
+  // fold runs inline, so the validation/fold split comes from one pass.
   SelectorObserver* obs = options_.observer;
-  if (obs == nullptr) {
-    EASEML_ASSIGN_OR_RETURN(const Assignment issued,
-                            BeginReport(assignment, accuracy));
-    FoldReportedOutcome(issued, accuracy);
-    FinishReport(issued.tenant);
-    return SyncWal();
-  }
-  // Observed path: identical calls, plus the coordinator/fold timing split
-  // (the base engine folds inline, so the split is derived from one pass).
-  const double t0 = ThreadCpuSeconds();
+  double t0 = 0.0;
+  if (obs != nullptr) t0 = ThreadCpuSeconds();
   Result<Assignment> issued = BeginReport(assignment, accuracy);
   if (!issued.ok()) {
-    obs->OnTicketRejected(static_cast<int>(issued.status().code()));
+    if (obs != nullptr) {
+      obs->OnTicketRejected(static_cast<int>(issued.status().code()));
+    }
     return issued.status();
   }
-  const double t1 = ThreadCpuSeconds();
-  obs->OnFoldQueued(0);  // inline fold: queued and executed back-to-back
+  double t1 = 0.0;
+  if (obs != nullptr) {
+    t1 = ThreadCpuSeconds();
+    obs->OnFoldQueued(0);
+  }
   FoldReportedOutcome(*issued, accuracy);
-  const double t2 = ThreadCpuSeconds();
-  FinishReport(issued->tenant);
-  const double t3 = ThreadCpuSeconds();
-  obs->OnFold(0, (t2 - t1) * 1e6);
-  obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
+  double t2 = 0.0;
+  if (obs != nullptr) t2 = ThreadCpuSeconds();
+  scheduler_->OnOutcome(users_, issued->tenant);
+  ++round_;
+  if (obs != nullptr) {
+    const double t3 = ThreadCpuSeconds();
+    obs->OnFold(0, (t2 - t1) * 1e6);
+    obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
+  }
   return SyncWal();
 }
 
@@ -552,16 +531,6 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginCancel(
   return issued;
 }
 
-void MultiTenantSelector::FoldCancel(const Assignment& issued) {
-  const Status cancelled =
-      users_[issued.tenant].CancelSelection(issued.model);
-  EASEML_CHECK(cancelled.ok()) << "Cancel: fold of validated ticket "
-                               << issued.id
-                               << " rejected: " << cancelled.ToString();
-  RefreshIndexEntry(issued.tenant);  // the arm became selectable again
-  NotifyTenantEvent(issued.tenant);
-}
-
 Status MultiTenantSelector::Cancel(const Assignment& assignment) {
   Result<Assignment> issued = BeginCancel(assignment);
   if (!issued.ok()) {
@@ -571,7 +540,15 @@ Status MultiTenantSelector::Cancel(const Assignment& assignment) {
     }
     return issued.status();
   }
-  FoldCancel(*issued);
+  // Un-charge the arm: it becomes dispatchable again. Cannot fail for a
+  // validated ticket.
+  const Status cancelled =
+      users_[issued->tenant].CancelSelection(issued->model);
+  EASEML_CHECK(cancelled.ok()) << "Cancel: fold of validated ticket "
+                               << issued->id
+                               << " rejected: " << cancelled.ToString();
+  RefreshIndexEntry(issued->tenant);  // the arm became selectable again
+  NotifyTenantEvent(issued->tenant);
   return SyncWal();
 }
 
@@ -823,12 +800,8 @@ Status MultiTenantSelector::RestoreDurableState(
     users_.push_back(std::move(user));
     best_model_.push_back(state.best_model[i]);
     OnTenantAdded(static_cast<int>(i));
-    if (retired) {
-      // Mirror RemoveTenant's index/placement sequence: the base engine
-      // keeps the (neutral) leaf, the sharded engine unmaps the id.
-      RefreshIndexEntry(static_cast<int>(i));
-      OnTenantRemoved(static_cast<int>(i));
-    }
+    // Mirror RemoveTenant: a retired tenant keeps its (neutral) leaf.
+    if (retired) RefreshIndexEntry(static_cast<int>(i));
   }
   int64_t prev_id = -1;
   for (const DurableSelectorState::Ticket& t : state.in_flight) {

@@ -51,28 +51,22 @@ struct SelectorOptions {
   /// reproduces the sequential Next/Report protocol bit-identically.
   int num_devices = 1;
 
-  /// Number of selector shards. 1 (the default) is the in-process
-  /// sequential engine; values > 1 select
-  /// `shard::ShardedMultiTenantSelector` when the selector is built
-  /// through `shard::MakeSelector` — tenants are hash-partitioned across
-  /// that many worker threads, which run each tenant's arm selection and
-  /// belief fold. The user pick stays on the coordinator (the index or the
-  /// sequential scan, per `use_candidate_index`), so the selection trace
-  /// is bit-identical to the sequential engine. Plain
-  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
-  /// engine).
+  /// Must be 1 (the default); `Create` refuses anything else with
+  /// InvalidArgument. There is one engine. The field stays only because
+  /// the end-to-end benchmark (perfbench/, which changes only together
+  /// with the benchmark definition) still sets it; the next benchmark
+  /// change removes it.
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index instead of the
-  /// O(T) tenant scan: each engine shard keeps a monotone tournament tree
-  /// over its tenants' policy summaries (scheduler/candidate_index.h), a
-  /// tenant event replays one O(log T) leaf path, and a pick reads the
-  /// shard roots — bit-identical to the scan path by construction (the
-  /// index/scan conformance suite pins every policy, shard count and churn
-  /// pattern). Serving runs the index. Index-off (the default) is the
-  /// reference scan engine (`SchedulerPolicy::PickUser`, the paper's
-  /// Algorithm 2 as written) that the conformance suites compare every
-  /// configuration against.
+  /// O(T) tenant scan: one monotone tournament tree over the tenants'
+  /// policy summaries (scheduler/candidate_index.h), a tenant event
+  /// replays one O(log T) leaf path, and a pick reads the root —
+  /// bit-identical to the scan path by construction (the differential
+  /// harness pins every policy and churn pattern). Serving runs the index.
+  /// Index-off (the default) is the reference scan engine
+  /// (`SchedulerPolicy::PickUser`, the paper's Algorithm 2 as written) that
+  /// the differential harness compares every configuration against.
   bool use_candidate_index = false;
 
   /// Observation seam (core/selector_observer.h), or nullptr for none. Not
@@ -97,8 +91,7 @@ struct SelectorOptions {
 };
 
 /// Builds the scheduler policy `options` selects (nullptr for an unknown
-/// kind). Shared by the sequential selector and the sharded engine so both
-/// run byte-identical policy state.
+/// kind). `Create` and the engine's subclasses build their policy here.
 std::unique_ptr<scheduler::SchedulerPolicy> MakeSchedulerPolicy(
     const SelectorOptions& options);
 
@@ -151,18 +144,12 @@ int DefaultPriorCacheSizeForTesting();
 /// (drain completions first). Tenants added after the loop started are
 /// picked up by the initialization sweep on their first rounds.
 ///
-/// ## Engine seams
+/// ## Threading
 ///
-/// The class doubles as the base of the sharded engine
-/// (`shard::ShardedMultiTenantSelector`): the ticketed protocol above is
-/// final, and so is the user pick (`PickTenant`: the index or the
-/// sequential scan, always on the caller's thread). Of the protected seams
-/// below, the sharded engine overrides only the arm selection seam and the
-/// tenant add/remove hooks, and it runs the Report/Cancel fold phases on
-/// the owning shard worker. `Create` ignores `num_shards`; build
-/// through `shard::MakeSelector` to honor it. The base engine is
-/// single-threaded (external synchronization required); the sharded
-/// override of every public method is thread-safe.
+/// The engine is single-threaded: callers serialize every call (the
+/// platform service holds its mutex around each one; the benches and
+/// recovery replay drive it from one thread). Only the
+/// observer's snapshot plane is read from other threads, lock-free.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -177,12 +164,8 @@ class MultiTenantSelector {
   static Result<MultiTenantSelector> Create(const SelectorOptions& options);
 
   virtual ~MultiTenantSelector() = default;
-  // Public moves keep the historical by-value usage working
-  // (`Create(...).value()`, selectors held as members). CAUTION: the class
-  // is also a polymorphic base — moving through a base reference/pointer
-  // that actually designates a ShardedMultiTenantSelector would slice off
-  // the shard engine. Engines built via `shard::MakeSelector` live behind
-  // `unique_ptr` precisely so they are never moved as base values.
+  // Moves keep the by-value usage working (`Create(...).value()`,
+  // selectors held as members or moved onto the heap).
   MultiTenantSelector(MultiTenantSelector&&) = default;
   MultiTenantSelector& operator=(MultiTenantSelector&&) = default;
   MultiTenantSelector(const MultiTenantSelector&) = delete;
@@ -192,37 +175,38 @@ class MultiTenantSelector {
   /// Gram matrix is allocated once and shared by every tenant created from
   /// it) with per-model costs (one positive cost per arm). Returns the
   /// tenant id.
-  virtual Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
-                                std::vector<double> costs);
+  Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
+                        std::vector<double> costs);
 
   /// Registers a tenant with an uninformative independent prior
   /// (unit-variance diagonal) — used when no training logs exist yet. The
   /// default prior is built once per (num_models, noise_variance) in a
-  /// process-wide, mutex-guarded cache (concurrent shard setup reaches it)
-  /// and shared by every tenant and selector requesting that shape.
+  /// process-wide, mutex-guarded cache (selectors on different threads
+  /// reach it concurrently) and shared by every tenant and selector
+  /// requesting that shape. Virtual, like `Next`/`Report`/`Cancel`: the
+  /// end-to-end benchmark's timing decorator overrides these four.
   virtual Result<int> AddTenantWithDefaultPrior(int num_models,
                                                std::vector<double> costs,
                                                double noise_variance = 1e-2);
 
-  /// Retires a tenant: it is never scheduled again, its belief memory is
-  /// released, and its shard slot is vacated (the sharded engine
-  /// rebalances). Refused with FailedPrecondition while the tenant has
+  /// Retires a tenant: it is never scheduled again and its belief memory is
+  /// released. Refused with FailedPrecondition while the tenant has
   /// in-flight tickets — `Report` or `Cancel` them first — or when it was
   /// already removed; OutOfRange for ids never issued. Historical
   /// read-side queries (BestModel, BestAccuracy, RoundsServed) stay
   /// answerable after removal. Tenant ids are never reused.
-  virtual Status RemoveTenant(int tenant);
+  Status RemoveTenant(int tenant);
 
   /// Registered tenants, INCLUDING removed ones (ids are stable).
-  virtual int num_tenants() const { return static_cast<int>(users_.size()); }
+  int num_tenants() const { return static_cast<int>(users_.size()); }
 
   /// True when every tenant has trained every candidate model (in-flight
   /// assignments keep the selector non-exhausted until reported; removed
   /// tenants count as done).
-  virtual bool Exhausted() const;
+  bool Exhausted() const;
 
   /// Number of outstanding (issued, not yet reported) assignments.
-  virtual int num_in_flight() const {
+  int num_in_flight() const {
     return static_cast<int>(in_flight_.size());
   }
 
@@ -232,7 +216,7 @@ class MultiTenantSelector {
   /// True iff `Next()` would hand out an assignment right now: a device
   /// slot is free and some tenant has an un-charged model remaining. False
   /// while everything remaining is in flight — drain completions and retry.
-  virtual bool HasDispatchableWork() const;
+  bool HasDispatchableWork() const;
 
   /// Picks the next (tenant, model) to train and marks it in flight. Fails
   /// with FailedPrecondition when all `num_devices` slots are occupied,
@@ -254,22 +238,20 @@ class MultiTenantSelector {
   /// ticket is not outstanding. This is the authoritative in-flight record
   /// — executors correlate completions through it instead of keeping their
   /// own table.
-  virtual Result<Assignment> InFlightAssignment(int64_t ticket) const;
+  Result<Assignment> InFlightAssignment(int64_t ticket) const;
 
   /// Best model trained so far for `tenant` (what `infer` serves);
   /// NotFound before the first completed run.
-  virtual Result<int> BestModel(int tenant) const;
+  Result<int> BestModel(int tenant) const;
 
   /// Best observed accuracy for `tenant`; 0 before the first run.
-  virtual Result<double> BestAccuracy(int tenant) const;
+  Result<double> BestAccuracy(int tenant) const;
 
   /// Rounds served so far for `tenant`.
-  virtual Result<int> RoundsServed(int tenant) const;
+  Result<int> RoundsServed(int tenant) const;
 
   /// Read access to the scheduler policy (diagnostics: hybrid switch
-  /// state, greedy rule). NOT covered by the sharded engine's
-  /// thread-safety guarantee — the returned reference outlives any lock,
-  /// so only inspect it while no other thread is driving the selector.
+  /// state, greedy rule).
   const scheduler::SchedulerPolicy& scheduler_policy() const {
     return *scheduler_;
   }
@@ -278,18 +260,15 @@ class MultiTenantSelector {
   /// the serving path): re-derives every tenant key and replays every
   /// aggregate from scratch, failing with Internal on the first stale leaf,
   /// drifted exact sum, or out-of-date tournament node. OK when the index
-  /// is disabled. The sharded override additionally locks and checks the
-  /// index placement against its shard map, so AddTenant/RemoveTenant
-  /// rebalances cannot silently desynchronize the two.
-  virtual Status ValidateIndex() const;
+  /// is disabled.
+  Status ValidateIndex() const;
 
   /// Serializes the COMPLETE engine state (priors deduplicated by
   /// identity, per-tenant user + compact belief state, in-flight table,
   /// ticket/round counters, scheduler blob, WAL position) for a
   /// checkpoint. Every registration path builds the shared-prior belief,
-  /// the one representation this serializes. The sharded override locks and
-  /// drains the fold pipeline first, so the capture is quiesced.
-  virtual Result<DurableSelectorState> CaptureDurableState() const;
+  /// the one representation this serializes.
+  Result<DurableSelectorState> CaptureDurableState() const;
 
   /// Restores a captured state into THIS engine, which must be freshly
   /// created with equivalent options (same scheduler kind, delta,
@@ -298,101 +277,66 @@ class MultiTenantSelector {
   /// (bit-identical by determinism) and verified bit-for-bit against the
   /// stored Cholesky factor; DataLoss on any mismatch. FailedPrecondition
   /// when the engine already has state.
-  virtual Status RestoreDurableState(const DurableSelectorState& state);
+  Status RestoreDurableState(const DurableSelectorState& state);
 
  protected:
+  /// Builds an engine around `s`. `Create` goes through here; so do
+  /// subclasses that decorate the public entry points (they call
+  /// `ResetIndex(1)` themselves when `use_candidate_index` is set).
   MultiTenantSelector(const SelectorOptions& options,
                       std::unique_ptr<scheduler::SchedulerPolicy> s)
       : options_(options), scheduler_(std::move(s)) {}
 
-  // --- Engine seams -------------------------------------------------------
-  //
-  // Called from within the public methods above while the engine's
-  // synchronization (none here; the selector lock in the sharded engine) is
-  // already in effect, so overrides must not re-enter the public API.
+  /// Replaces the candidate index with an empty one (call before any
+  /// tenant exists). Keys track the line-8 gap only for schedulers that
+  /// consume it (GREEDY/HYBRID). `num_shards` must be 1: the parameter
+  /// stays only because the end-to-end benchmark passes it; the next
+  /// benchmark change removes it.
+  void ResetIndex(int num_shards);
+
+ private:
+  Status ValidateTenant(int tenant) const;
+  Result<int> AddTenantWithBelief(std::unique_ptr<gp::ArmBelief> belief,
+                                  std::vector<double> costs);
+
+  /// Appends a just-registered tenant to the index and the observer's
+  /// placement, then publishes its first observation.
+  void OnTenantAdded(int tenant);
 
   /// Picks the tenant to serve at global round `round`: the initialization
   /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
   /// scheduler policy — from the candidate index when it is on, else the
-  /// policy's sequential `PickUser` scan. Every engine, sharded or not,
-  /// picks through this one function on the coordinator.
+  /// policy's sequential `PickUser` scan.
   Result<int> PickTenant(int round);
 
-  /// Runs `users()[tenant].SelectArm()`; the sharded engine routes the call
-  /// to the shard worker owning the tenant.
-  virtual Result<int> SelectArmFor(int tenant);
+  /// Shared Report/Cancel validation: resolves `assignment` to its live
+  /// in-flight entry or the precise rejection Status (see class comment).
+  Result<std::map<int64_t, Assignment>::iterator> FindIssuedEntry(
+      const Assignment& assignment);
 
-  /// Notification hooks for shard-map / index maintenance. The base add
-  /// hook appends the new tenant to the 1-shard index in O(log T); the
-  /// sharded engine overrides both to update its shard map and resync the
-  /// index placement (a rebalance may move OTHER tenants between shards).
-  virtual void OnTenantAdded(int tenant);
-  virtual void OnTenantRemoved(int tenant) { (void)tenant; }
-
-  // --- Report pipeline seams ----------------------------------------------
-  //
-  // `Report`/`Cancel` decompose into a COORDINATOR phase (`Begin*`:
-  // validate the ticket against the in-flight table and retire the entry),
-  // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
-  // plus the index-leaf refresh), and for Report a SEQUENCING phase
-  // (`FinishReport`: scheduler OnOutcome + global round advance). The base
-  // engine runs all three inline; the sharded engine runs `Begin*` /
-  // `FinishReport` under its coordinator lock and ships the fold to the
-  // tenant's owning shard worker through a per-shard FIFO report queue, so
-  // completions for tenants on different shards fold concurrently.
-  // Per-tenant fold order equals Begin* order, which keeps the selection
-  // trace bit-identical to the inline pipeline.
-
-  /// Coordinator phase: resolves `assignment` against the in-flight table
-  /// (class-comment taxonomy), validates `accuracy`, and retires the
-  /// ticket. Returns the ISSUED assignment the fold must apply.
+  /// Validates a report (ticket taxonomy, then a finite `accuracy`),
+  /// retires the ticket and logs the record. Returns the ISSUED assignment
+  /// the fold must apply.
   Result<Assignment> BeginReport(const Assignment& assignment,
                                  double accuracy);
 
-  /// Fold phase: appends the observation to the tenant's belief and tracks
-  /// the incumbent best model. `issued` must come from `BeginReport` — the
-  /// fold of a validated ticket cannot fail (the arm is charged in flight
-  /// and the tenant cannot be removed under an open ticket), so a rejection
-  /// here aborts.
-  void FoldReportedOutcome(const Assignment& issued, double accuracy);
-
-  /// Sequencing phase: scheduler OnOutcome + round advance. Policies whose
-  /// `ObservesOutcomes()` is true read every tenant's post-fold state here,
-  /// so asynchronous engines must quiesce their fold pipeline first.
-  void FinishReport(int tenant);
-
-  /// Coordinator phase of `Cancel`: same validation and retirement as
-  /// `BeginReport`, without an accuracy.
+  /// `BeginReport` for `Cancel`: same validation and retirement, no
+  /// accuracy.
   Result<Assignment> BeginCancel(const Assignment& assignment);
 
-  /// Fold phase of `Cancel`: un-charges the arm (it becomes dispatchable
-  /// again). Aborts on rejection — impossible for a validated ticket.
-  void FoldCancel(const Assignment& issued);
-
-  // --- Candidate-index plumbing -------------------------------------------
-  //
-  // The base engine owns the (optional) index; the sharded engine swaps in
-  // an N-shard instance and overrides the placement. Every seam that
-  // mutates a tenant refreshes that tenant's leaf, so the index is fresh
-  // whenever PickTenant runs.
-
-  /// The index, or nullptr when `use_candidate_index` is off.
-  scheduler::CandidateIndex* candidate_index() { return index_.get(); }
-  const scheduler::CandidateIndex* candidate_index() const {
-    return index_.get();
-  }
-
-  /// Replaces the index with an empty `num_shards`-shard instance (the
-  /// sharded engine calls this before any tenant exists). Keys track the
-  /// line-8 gap only for schedulers that consume it (GREEDY/HYBRID).
-  void ResetIndex(int num_shards);
+  /// Appends the observation to the tenant's belief and tracks the
+  /// incumbent best model. The fold of a validated ticket cannot fail (the
+  /// arm is charged in flight and the tenant cannot be removed under an
+  /// open ticket), so a rejection here aborts.
+  void FoldReportedOutcome(const Assignment& issued, double accuracy);
 
   /// Recomputes `tenant`'s key and replays its leaf path (no-op when
-  /// disabled). Call after ANY event that changes the tenant's state.
+  /// the index is disabled). Call after ANY event that changes the
+  /// tenant's state.
   void RefreshIndexEntry(int tenant);
 
   /// The one source of the two no-work refusals (all exhausted vs
-  /// everything in flight): the conformance suite compares Status TEXT
+  /// everything in flight): the differential harness compares Status TEXT
   /// between engines, so every pick path must emit identical strings.
   Status NoDispatchableWorkStatus() const;
 
@@ -403,28 +347,21 @@ class MultiTenantSelector {
   // index would go stale, so would a dashboard. All of it is skipped in a
   // single branch when no observer is configured.
 
-  /// The configured observer, or nullptr (the common case).
-  SelectorObserver* observer() const { return options_.observer; }
-
   /// Publishes `tenant`'s fresh observation to the observer (no-op when
   /// none). Call AFTER `RefreshIndexEntry` — the gap is read back from the
   /// just-refreshed index key when the index tracks it.
   void NotifyTenantEvent(int tenant);
 
-  /// Derives the observation `NotifyTenantEvent` publishes (also used by
-  /// tests to compare a snapshot against live engine state).
+  /// Derives the observation `NotifyTenantEvent` publishes.
   TenantObservation DeriveObservation(int tenant) const;
 
   // --- Durability seam ----------------------------------------------------
   //
   // Mirrors the observer seam: one branch when no WAL is configured. The
-  // engines append AFTER applying (log order = validation order, and only
-  // successful mutations are logged, so replay must succeed), and latch
-  // the first WAL error — the selector fail-stops rather than let its
-  // in-memory state silently outrun what recovery can reproduce.
-
-  /// The configured durability log, or nullptr (the common case).
-  DurabilityLog* wal() const { return options_.wal; }
+  // engine appends AFTER validating (log order = validation order, and
+  // only successful mutations are logged, so replay must succeed), and
+  // latches the first WAL error — the selector fail-stops rather than let
+  // its in-memory state silently outrun what recovery can reproduce.
 
   /// Fail-fast check every mutation runs first: OK without a WAL or while
   /// it is healthy, FailedPrecondition once a WAL write failed.
@@ -436,27 +373,11 @@ class MultiTenantSelector {
   /// Syncs the WAL (no-op without one), latching failure.
   Status SyncWal();
 
-  const SelectorOptions& options() const { return options_; }
-  std::vector<scheduler::UserState>& users() { return users_; }
-  const std::vector<scheduler::UserState>& users() const { return users_; }
-  scheduler::SchedulerPolicy& scheduler() { return *scheduler_; }
-  const std::map<int64_t, Assignment>& in_flight() const { return in_flight_; }
-
- private:
-  Status ValidateTenant(int tenant) const;
-  Result<int> AddTenantWithBelief(std::unique_ptr<gp::ArmBelief> belief,
-                                  std::vector<double> costs);
-
-  /// Shared Report/Cancel validation: resolves `assignment` to its live
-  /// in-flight entry or the precise rejection Status (see class comment).
-  Result<std::map<int64_t, Assignment>::iterator> FindIssuedEntry(
-      const Assignment& assignment);
-
   SelectorOptions options_;
   std::unique_ptr<scheduler::SchedulerPolicy> scheduler_;
-  /// Incremental candidate index (nullptr when disabled): per-shard
-  /// tournament trees + exact threshold aggregates answering PickTenant in
-  /// O(log T) instead of an O(T) scan.
+  /// Incremental candidate index (nullptr when disabled): one tournament
+  /// tree + exact threshold aggregates answering PickTenant in O(log T)
+  /// instead of an O(T) scan.
   std::unique_ptr<scheduler::CandidateIndex> index_;
   std::vector<scheduler::UserState> users_;
   std::vector<int> best_model_;  // -1 until first report
@@ -464,9 +385,7 @@ class MultiTenantSelector {
   std::map<int64_t, Assignment> in_flight_;
   int64_t next_ticket_ = 0;
   int round_ = 0;
-  /// First WAL append/sync error, latched forever (fail-stop). Guarded by
-  /// the engine's synchronization like every other engine field: all WAL
-  /// calls, including Sync, run under it.
+  /// First WAL append/sync error, latched forever (fail-stop).
   Status wal_status_;
 };
 

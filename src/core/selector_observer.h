@@ -33,28 +33,21 @@ struct TenantObservation {
   double max_ucb = 0.0;
 };
 
-/// Engine-side observation seam. The selector engines (core and shard) call
-/// these hooks from inside their own synchronization; implementations must
-/// be cheap, must never call back into the selector, and must do their own
-/// cross-thread synchronization for anything they publish (the obs layer's
+/// Engine-side observation seam. The selector engine calls these hooks
+/// from inside its public methods; implementations must be cheap, must
+/// never call back into the selector, and must do their own cross-thread
+/// synchronization for anything they publish (the obs layer's
 /// `FleetObserver` is the canonical implementation).
 ///
-/// Threading contract, inherited from the engines' fold discipline:
-///  - `OnTenantEvent(obs)` fires on the thread that owns the tenant's shard
-///    state at that moment — the shard worker for routed selections and
-///    queued folds, the (quiesced) coordinator for churn. Events for
-///    tenants on DIFFERENT shards may fire concurrently; events for one
-///    shard never do. (The observer learns each tenant's shard from the
-///    placement hooks, which always precede its events.)
-///  - `OnTenantPlaced` / `OnPlacementChanged` fire only while the engine is
-///    quiesced (coordinator lock held, fold queues drained), never
-///    concurrently with any other hook.
-///  - The timing/metrics hooks (`OnNext`, `OnReport`, `OnTicketRejected`,
-///    `OnFoldQueued`, `OnFold`, `OnDrainWait`) may fire from the
-///    coordinator and the shard workers concurrently.
+/// Threading contract: the engine is single-threaded (its callers
+/// serialize every call), so for one engine every hook fires on the thread
+/// that is driving it at that moment and no two hooks ever run
+/// concurrently. `OnTenantPlaced` always precedes a tenant's first
+/// `OnTenantEvent`. Readers of what an implementation publishes (snapshot
+/// scans) may run on any thread at any time.
 ///
 /// Every hook has an empty default so implementations subscribe only to
-/// what they consume. The engines skip all derivation work when
+/// what they consume. The engine skips all derivation work when
 /// `SelectorOptions::observer` is null — the serving path is untouched
 /// (and its traces bit-identical) with observation off.
 class SelectorObserver {
@@ -65,15 +58,17 @@ class SelectorObserver {
   /// its fresh summary.
   virtual void OnTenantEvent(const TenantObservation& obs) { (void)obs; }
 
-  /// A new tenant appeared on `shard` (placement grows at the tail; no
-  /// other tenant moved). Fired before the tenant's first OnTenantEvent.
+  /// A new tenant was registered (ids grow at the tail). Fired before the
+  /// tenant's first OnTenantEvent. `shard` is always 0; the parameter
+  /// stays only because the end-to-end benchmark's decorator overrides
+  /// this signature, and goes with the next benchmark change.
   virtual void OnTenantPlaced(int tenant, int shard) {
     (void)tenant;
     (void)shard;
   }
 
-  /// Churn rebalanced the shard map: `shard_tenants[s]` lists the live
-  /// tenants of shard `s` in ascending id order.
+  /// Never called. Kept only because the end-to-end benchmark's decorator
+  /// overrides it; the next benchmark change removes it.
   virtual void OnPlacementChanged(
       const std::vector<std::vector<int>>& shard_tenants) {
     (void)shard_tenants;
@@ -88,9 +83,9 @@ class SelectorObserver {
     (void)arm_us;
   }
 
-  /// A `Report()` coordinator phase finished successfully after
-  /// `coord_us` thread-CPU microseconds (validation + ticket retirement +
-  /// fold hand-off; excludes the fold itself on sharded engines).
+  /// A `Report()` finished successfully; `coord_us` is its thread-CPU
+  /// microseconds outside the fold (validation, ticket retirement and the
+  /// scheduler's OnOutcome).
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -99,19 +94,20 @@ class SelectorObserver {
   /// entry or non-finite accuracy).
   virtual void OnTicketRejected(int code) { (void)code; }
 
-  /// A belief fold was queued on `shard`'s report queue (sharded engine
-  /// coordinator side).
+  /// A validated report is about to fold (always inline; `shard` is always
+  /// 0 — kept for the end-to-end benchmark's decorator signature until the
+  /// next benchmark change).
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
-  /// A belief fold (report or cancel) ran on `shard`, costing `fold_us`
-  /// thread-CPU microseconds on the owning worker.
+  /// A report's belief fold ran inline, costing `fold_us` thread-CPU
+  /// microseconds. `shard` is always 0 (see `OnFoldQueued`).
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;
   }
 
-  /// A reader blocked `wait_us` wall-microseconds in `DrainQueues()`
-  /// waiting for in-flight folds (queue-stall time on the serving path).
+  /// Never called. Kept only because the end-to-end benchmark's decorator
+  /// overrides it; the next benchmark change removes it.
   virtual void OnDrainWait(double wait_us) { (void)wait_us; }
 };
 

@@ -1,15 +1,17 @@
 #include "obs/fleet_observer.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/status.h"
-#include "shard/sharded_selector.h"
 
 namespace easeml::obs {
 
 FleetObserver::FleetObserver(const FleetObserverOptions& options)
-    : plane_(options.num_shards, options.publish_interval) {
+    : plane_(options.publish_interval) {
+  EASEML_CHECK(options.num_shards == 1)
+      << "obs: FleetObserverOptions::num_shards must be 1, got "
+      << options.num_shards;
   Registry* reg = options.registry;
   if (reg == nullptr) return;
   next_total_ = reg->GetCounter("easeml_next_total");
@@ -26,7 +28,6 @@ FleetObserver::FleetObserver(const FleetObserverOptions& options)
   folds_queued_ = reg->GetCounter("easeml_folds_queued");
   folds_executed_ = reg->GetCounter("easeml_folds_executed");
   fold_us_ = reg->GetHistogram("easeml_report_fold_us");
-  drain_wait_us_ = reg->GetHistogram("easeml_drain_wait_us");
   tenant_events_ = reg->GetCounter("easeml_tenant_events");
 }
 
@@ -36,12 +37,8 @@ void FleetObserver::OnTenantEvent(const core::TenantObservation& obs) {
 }
 
 void FleetObserver::OnTenantPlaced(int tenant, int shard) {
-  plane_.Place(tenant, shard);
-}
-
-void FleetObserver::OnPlacementChanged(
-    const std::vector<std::vector<int>>& shard_tenants) {
-  plane_.SetPlacement(shard_tenants);
+  (void)shard;
+  plane_.Place(tenant);
 }
 
 void FleetObserver::OnNext(bool ok, double pick_us, double arm_us) {
@@ -88,17 +85,18 @@ void FleetObserver::OnFold(int shard, double fold_us) {
   fold_us_->Record(fold_us);
 }
 
-void FleetObserver::OnDrainWait(double wait_us) {
-  if (drain_wait_us_ != nullptr) drain_wait_us_->Record(wait_us);
-}
-
 Result<ObservedSelector> MakeObservedSelector(
     core::SelectorOptions options, FleetObserverOptions obs_options) {
-  obs_options.num_shards = std::max(1, options.num_shards);
+  if (obs_options.num_shards != 1) {
+    return Status::InvalidArgument("obs: num_shards must be 1");
+  }
   ObservedSelector out;
   out.observer = std::make_unique<FleetObserver>(obs_options);
   options.observer = out.observer.get();
-  EASEML_ASSIGN_OR_RETURN(out.selector, shard::MakeSelector(options));
+  EASEML_ASSIGN_OR_RETURN(core::MultiTenantSelector selector,
+                          core::MultiTenantSelector::Create(options));
+  out.selector =
+      std::make_unique<core::MultiTenantSelector>(std::move(selector));
   return out;
 }
 

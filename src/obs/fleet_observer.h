@@ -12,36 +12,38 @@
 namespace easeml::obs {
 
 struct FleetObserverOptions {
-  /// Must equal the engine's shard count (1 for the sequential engine).
+  /// Must be 1 (the default); `MakeObservedSelector` refuses anything else
+  /// with InvalidArgument. The field stays only because the end-to-end
+  /// benchmark (perfbench/) still sets it; the next benchmark change
+  /// removes it.
   int num_shards = 1;
-  /// Tenant events between automatic per-shard snapshot publishes.
+  /// Tenant events between automatic snapshot publishes.
   int publish_interval = 32;
   /// Optional metrics sink; may be null (snapshots only). Non-owning; must
   /// outlive the observer.
   Registry* registry = nullptr;
 };
 
-/// The canonical `core::SelectorObserver`: routes tenant events and
-/// placement changes into a `SnapshotPlane` and the timing hooks into
-/// `Registry` instruments. Instrument pointers are resolved once at
-/// construction, so every hook is a plane apply and/or a couple of relaxed
-/// atomic RMWs — cheap enough for the fold closures and the `Next`/`Report`
-/// coordinator paths it sits on.
+/// The canonical `core::SelectorObserver`: routes tenant registrations and
+/// events into a `SnapshotPlane` and the timing hooks into `Registry`
+/// instruments. Instrument pointers are resolved once at construction, so
+/// every hook is a plane apply and/or a couple of relaxed atomic RMWs —
+/// cheap enough for the `Next`/`Report` paths it sits on.
 ///
 /// Instruments (all prefixed `easeml_`):
 ///   next_total / next_rejected          Next() calls / calls with no work
 ///   next_pick_us / next_arm_us          tenant-pick and arm-selection CPU
-///   report_total / report_coord_us      Report() successes / coordinator CPU
+///   report_total / report_coord_us      Report() successes / non-fold CPU
 ///   report_rejected_unknown_ticket      BeginReport/Cancel NotFound
 ///   report_rejected_stale_ticket        ... FailedPrecondition (duplicate)
 ///   report_rejected_mismatch_or_invalid ... InvalidArgument (forged/NaN)
 ///   report_rejected_other               any other rejection code
-///   folds_queued / folds_executed       report-queue depth = queued-executed
-///   report_fold_us                      per-fold worker CPU
-///   drain_wait_us                       reader stalls behind queued folds
+///   folds_queued / folds_executed       report folds started / finished
+///   report_fold_us                      per-fold CPU
 ///   tenant_events                       snapshot-plane applies
 class FleetObserver final : public core::SelectorObserver {
  public:
+  /// `options.num_shards` must be 1 (checked).
   explicit FleetObserver(const FleetObserverOptions& options);
 
   SnapshotPlane& plane() { return plane_; }
@@ -50,14 +52,11 @@ class FleetObserver final : public core::SelectorObserver {
   // core::SelectorObserver hooks (threading contract in the base class).
   void OnTenantEvent(const core::TenantObservation& obs) override;
   void OnTenantPlaced(int tenant, int shard) override;
-  void OnPlacementChanged(
-      const std::vector<std::vector<int>>& shard_tenants) override;
   void OnNext(bool ok, double pick_us, double arm_us) override;
   void OnReport(double coord_us) override;
   void OnTicketRejected(int code) override;
   void OnFoldQueued(int shard) override;
   void OnFold(int shard, double fold_us) override;
-  void OnDrainWait(double wait_us) override;
 
  private:
   SnapshotPlane plane_;
@@ -75,7 +74,6 @@ class FleetObserver final : public core::SelectorObserver {
   Counter* folds_queued_ = nullptr;
   Counter* folds_executed_ = nullptr;
   Histogram* fold_us_ = nullptr;
-  Histogram* drain_wait_us_ = nullptr;
   Counter* tenant_events_ = nullptr;
 };
 
@@ -87,9 +85,9 @@ struct ObservedSelector {
   std::unique_ptr<core::MultiTenantSelector> selector;
 };
 
-/// Convenience: builds the engine `options` asks for (sequential or
-/// sharded, via shard::MakeSelector) with a FleetObserver wired in.
-/// `obs_options.num_shards` is overridden to match the engine.
+/// Convenience: builds the engine (`MultiTenantSelector::Create`) with a
+/// FleetObserver wired in. InvalidArgument when either `num_shards` is not
+/// 1, like every other engine option `Create` refuses.
 Result<ObservedSelector> MakeObservedSelector(core::SelectorOptions options,
                                               FleetObserverOptions obs_options);
 

@@ -16,8 +16,8 @@ namespace easeml::obs {
 /// metric names. The recording side (`Counter::Increment`,
 /// `Histogram::Record`) is wait-free — one or a few relaxed atomic RMWs, no
 /// locks, no allocation — so instruments can sit directly on the `Next`/
-/// `Report` coordinator paths and inside shard-worker fold closures without
-/// perturbing the latencies they measure. Reads (`Value`, the exporters) are
+/// `Report` paths and the executor's worker threads without perturbing the
+/// latencies they measure. Reads (`Value`, the exporters) are
 /// racy-by-design point-in-time sums: each load is atomic, but a scrape that
 /// straddles concurrent records may see a histogram whose bucket total
 /// lags `Count()` by in-flight increments — fine for monitoring, documented

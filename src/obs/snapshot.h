@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -13,169 +12,127 @@ namespace easeml::obs {
 
 /// Versioned, immutable, copy-on-write fleet snapshots.
 ///
-/// The serving engines already quiesce every reader of tenant state through
-/// the selector lock and a fold-queue drain — correct, but it means an
-/// analytics scan walking 10^5 tenants would stall the `Next()` hot path for
-/// its whole walk. The snapshot plane decouples the two: shard workers
-/// PUBLISH immutable per-shard summary blocks at fold boundaries, and
-/// readers WALK the last published blocks lock-free (one brief per-shard
-/// pointer copy aside), never touching the selector lock at all.
+/// The engine is single-threaded: its callers serialize every call (the
+/// service under its mutex), so an analytics scan walking 10^5 tenants
+/// under that serialization would stall the `Next()` hot path for its
+/// whole walk. The snapshot plane decouples the two: the engine's driving
+/// thread PUBLISHES an immutable `FleetSnapshot` at fold boundaries, and
+/// readers WALK the last published snapshot lock-free (one brief pointer
+/// copy aside), never touching the engine's serialization at all.
 ///
-/// Data model, writer side (one `Slot` per shard):
+/// Writer side (the thread driving the engine, one at a time):
 ///   - `master_` holds the latest `TenantObservation` per tenant, indexed by
-///     tenant id (ids are never reused; a retired tenant keeps its slot).
-///     Shards own disjoint tenant sets and churn only mutates placement
-///     while the engine is quiesced, so every `master_` element has exactly
-///     one writer at any moment — no synchronization needed on the write.
-///   - Each slot tracks its local tenant-id list as a
-///     `shared_ptr<const vector<int>>` (replaced only on placement change,
-///     so steady-state publishes never copy it), per-chunk dirty bits
-///     (chunks of `kChunk` positions), a monotone event counter, and
-///     integer-only running aggregates maintained by old/new diff on every
-///     event — integers so a validator can recompute them from a published
-///     block and compare EXACTLY.
+///     tenant id (ids are dense and never reused; a retired tenant keeps
+///     its entry).
+///   - Per-chunk dirty bits (chunks of `kChunk` tenants), a monotone event
+///     counter, and integer-only running aggregates maintained by old/new
+///     diff on every event — integers so a validator can recompute them
+///     from a published snapshot and compare EXACTLY.
 ///
-/// Publishing: after `publish_interval` events (or an explicit flush) the
-/// owning worker builds a fresh `ShardBlock` — dirty chunks copied from
-/// `master_`, clean chunks reference-shared with the previous block — and
-/// swaps it into the slot's `published` pointer under a tiny leaf mutex.
-/// The block's `epoch` is the slot's event count at publish, so per-shard
-/// epochs are strictly monotone and the fleet epoch (their sum) is too.
+/// Publishing: after `publish_interval` events (or an explicit `Flush`) the
+/// writer builds a fresh snapshot — dirty chunks copied from `master_`,
+/// clean chunks reference-shared with the previous snapshot — and swaps it
+/// into the `published_` pointer under a tiny leaf mutex. A snapshot's
+/// `epoch` is the event count at publish, so epochs are strictly monotone.
 ///
-/// Consistency: a block is built only from state its writer owns, and dirty
-/// bits cover every `master_` write since the covering chunk was last
-/// copied, so each published block equals `master_`'s restriction to the
-/// shard at one instant — internally consistent by construction (aggregates
-/// match a recount of its entries; ids ascend). The TSan battery races
-/// full-fleet scans against churn to hold the plane to exactly that.
+/// Consistency: dirty bits cover every `master_` write since the covering
+/// chunk was last copied, so each published snapshot equals `master_` at
+/// one instant — internally consistent by construction (aggregates match
+/// a recount of its entries). The stress battery races scans against a
+/// churning engine to hold the plane to exactly that.
 ///
 /// Threading contract (mirrors `core::SelectorObserver`):
-///   - `Apply` runs on the tenant's owning thread (shard worker, or the
-///     quiesced coordinator). Applies for different shards may be
-///     concurrent; applies for one shard never are.
-///   - `Place`, `SetPlacement`, `FlushAll` require a quiesced engine (no
-///     concurrent `Apply` anywhere) — they rebuild writer-side state.
+///   - `Apply`, `Place` and `Flush` are writer calls: never concurrent with
+///     each other.
 ///   - `Snapshot` is safe from ANY thread at ANY time.
 constexpr int kChunk = 64;
 
-/// Integer-only per-shard aggregates. Every field is recomputable by
-/// summing a block's entries — the stress battery does exactly that and
-/// demands equality, which is why nothing here is a double.
-struct ShardAggregates {
-  int64_t tenants = 0;        // placed on this shard (retired included)
+/// Integer-only fleet aggregates. Every field is recomputable by summing a
+/// snapshot's entries — the stress battery does exactly that and demands
+/// equality, which is why nothing here is a double.
+struct FleetAggregates {
+  int64_t tenants = 0;        // registered (retired included)
   int64_t retired = 0;
   int64_t schedulable = 0;
   int64_t uninitialized = 0;  // awaiting the initialization sweep
   int64_t in_flight = 0;      // sum of per-tenant in-flight tickets
   int64_t rounds = 0;         // sum of rounds_served
 
-  bool operator==(const ShardAggregates& o) const {
+  bool operator==(const FleetAggregates& o) const {
     return tenants == o.tenants && retired == o.retired &&
            schedulable == o.schedulable && uninitialized == o.uninitialized &&
            in_flight == o.in_flight && rounds == o.rounds;
   }
 };
 
-/// One shard's published summary: immutable after publication; chunks may
-/// be shared (by shared_ptr) with earlier and later blocks of the same
-/// shard — copy-on-write at chunk granularity.
-struct ShardBlock {
-  uint64_t epoch = 0;  // shard event count at publish; strictly monotone
-  std::shared_ptr<const std::vector<int>> ids;  // ascending tenant ids
-  std::vector<std::shared_ptr<const std::vector<core::TenantObservation>>>
-      chunks;  // chunk c covers positions [c*kChunk, min((c+1)*kChunk, n))
-  ShardAggregates agg;
-
-  int size() const {
-    return ids == nullptr ? 0 : static_cast<int>(ids->size());
-  }
-  const core::TenantObservation& at(int pos) const {
-    return (*chunks[static_cast<size_t>(pos / kChunk)])[static_cast<size_t>(
-        pos % kChunk)];
-  }
-};
-
-/// A point-in-time view of the whole fleet: one published block per shard.
-/// Blocks from different shards may be at different epochs (each shard
-/// publishes independently) — the fleet epoch is their sum and is monotone
-/// across snapshots.
+/// One published summary of the whole fleet: immutable after publication;
+/// chunks may be shared (by shared_ptr) with earlier and later snapshots —
+/// copy-on-write at chunk granularity.
 struct FleetSnapshot {
-  std::vector<std::shared_ptr<const ShardBlock>> shards;
+  uint64_t epoch = 0;  // event count at publish; strictly monotone
+  int num_tenants = 0;
+  std::vector<std::shared_ptr<const std::vector<core::TenantObservation>>>
+      chunks;  // chunk c covers tenants [c*kChunk, min((c+1)*kChunk, n))
+  FleetAggregates totals;
 
-  uint64_t epoch() const {
-    uint64_t sum = 0;
-    for (const auto& s : shards) {
-      if (s != nullptr) sum += s->epoch;
-    }
-    return sum;
+  const core::TenantObservation& at(int tenant) const {
+    return (*chunks[static_cast<size_t>(tenant / kChunk)])[static_cast<size_t>(
+        tenant % kChunk)];
   }
-  ShardAggregates Totals() const;
 
-  /// Calls `fn(shard, observation)` for every published tenant entry.
+  /// Calls `fn(observation)` for every tenant, in ascending id order.
   template <typename Fn>
   void ForEachTenant(Fn fn) const {
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const ShardBlock* block = shards[s].get();
-      if (block == nullptr) continue;
-      const int n = block->size();
-      for (int pos = 0; pos < n; ++pos) {
-        fn(static_cast<int>(s), block->at(pos));
-      }
-    }
+    for (int t = 0; t < num_tenants; ++t) fn(at(t));
   }
 };
 
 class SnapshotPlane {
  public:
-  /// `publish_interval` = tenant events a shard absorbs between automatic
+  /// `publish_interval` = tenant events absorbed between automatic
   /// publishes; 1 publishes on every fold boundary.
-  explicit SnapshotPlane(int num_shards, int publish_interval = 32);
+  explicit SnapshotPlane(int publish_interval = 32);
   ~SnapshotPlane();
 
   SnapshotPlane(const SnapshotPlane&) = delete;
   SnapshotPlane& operator=(const SnapshotPlane&) = delete;
 
-  int num_shards() const { return static_cast<int>(slots_.size()); }
-
   // --- Writer side (threading contract above) -----------------------------
 
-  /// Folds one tenant observation into the master copy and the owning
-  /// shard's dirty set; publishes the shard when its interval elapses.
-  /// The tenant must have been placed (`Place`/`SetPlacement`) first.
+  /// Folds one tenant observation into the master copy and its chunk's
+  /// dirty bit; publishes when the interval elapses. The tenant must have
+  /// been placed first.
   void Apply(const core::TenantObservation& obs);
 
-  /// Appends a new tenant to `shard`'s placement (quiesced; the base
-  /// engine's single-shard add path).
-  void Place(int tenant, int shard);
+  /// Registers a new tenant; `tenant` must equal the number placed so far
+  /// (ids are dense).
+  void Place(int tenant);
 
-  /// Replaces the whole placement (quiesced; sharded-engine churn). Every
-  /// shard republishes immediately so no block ever references a stale
-  /// partition.
-  void SetPlacement(const std::vector<std::vector<int>>& shard_tenants);
-
-  /// Publishes every shard with unpublished events (quiesced). After this,
-  /// `Snapshot()` reflects every event applied so far.
-  void FlushAll();
+  /// Publishes any unpublished events. After this, `Snapshot()` reflects
+  /// every event applied so far.
+  void Flush();
 
   // --- Reader side (any thread) -------------------------------------------
 
-  /// Lock-free fleet walk: copies each shard's published-block pointer
-  /// (one brief leaf-mutex hold per shard, never contended by more than a
-  /// pointer swap) and hands back the immutable blocks.
-  FleetSnapshot Snapshot() const;
+  /// Lock-free fleet walk: copies the published-snapshot pointer (one brief
+  /// leaf-mutex hold, never contended by more than a pointer swap).
+  std::shared_ptr<const FleetSnapshot> Snapshot() const;
 
  private:
-  struct Slot;
-
-  /// Builds and publishes a fresh block for `shard` from its dirty chunks.
-  void PublishSlot(int shard);
-  /// Recomputes `slot`'s aggregates from `master_` over its current ids.
-  void RecountSlot(Slot& slot) const;
+  /// Builds and publishes a fresh snapshot from the dirty chunks.
+  void Publish();
 
   std::vector<core::TenantObservation> master_;
-  std::vector<std::pair<int, int>> where_;  // tenant -> (shard, pos); (-1,-1)
-  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<uint8_t> chunk_dirty_;  // one flag per kChunk tenants
+  uint64_t events_ = 0;               // monotone; snapshot epoch source
+  int since_publish_ = 0;
+  FleetAggregates totals_;
+  std::shared_ptr<const FleetSnapshot> last_;  // writer's copy of published_
   const int publish_interval_;
+
+  // Publication point: the ONLY state readers touch.
+  mutable Mutex pub_mu_;
+  std::shared_ptr<const FleetSnapshot> published_ EASEML_GUARDED_BY(pub_mu_);
 };
 
 }  // namespace easeml::obs

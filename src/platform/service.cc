@@ -7,7 +7,6 @@
 
 #include "common/clock.h"
 #include "platform/templates.h"
-#include "shard/sharded_selector.h"
 
 namespace easeml::platform {
 
@@ -17,12 +16,10 @@ Result<EaseMlService> EaseMlService::Create(const Options& options) {
     return Status::InvalidArgument(
         "EaseMlService: noisy_label_fraction out of [0,1]");
   }
-  // `shard::MakeSelector` honors selector.num_shards: the sequential
-  // engine at 1, the shard-parallel engine above — same ticketed protocol,
-  // bit-identical selection traces.
-  EASEML_ASSIGN_OR_RETURN(std::unique_ptr<core::MultiTenantSelector> selector,
-                          shard::MakeSelector(options.selector));
-  return EaseMlService(options, std::move(selector));
+  EASEML_ASSIGN_OR_RETURN(core::MultiTenantSelector selector,
+                          core::MultiTenantSelector::Create(options.selector));
+  return EaseMlService(options, std::make_unique<core::MultiTenantSelector>(
+                                    std::move(selector)));
 }
 
 Result<EaseMlService> EaseMlService::CreateWithSelector(
@@ -287,10 +284,6 @@ Result<AsyncRunReport> EaseMlService::RunAsync(int num_workers,
       if (first_error.ok()) first_error = done.status;
       continue;
     }
-    // Report first: with a sharded selector the call returns right after
-    // ticket validation (the belief fold is queued on the tenant's owning
-    // shard worker), so the task-pool bookkeeping below overlaps the fold
-    // instead of extending the completion's critical path.
     EASEML_RETURN_NOT_OK(selector_->Report(a, done.outcome.accuracy));
     EASEML_RETURN_NOT_OK(pool_.MarkDone(task_id, done.outcome.accuracy,
                                         done.outcome.duration));

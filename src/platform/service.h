@@ -49,21 +49,18 @@ struct AsyncRunReport {
 ///
 /// Thread-safe: one service-wide mutex serializes the public API (the
 /// operators mutate job state, the service RNG, and — through the
-/// pt-guarded selector pointer — engine state that is single-threaded in
-/// the sequential configuration). Campaign drivers (`Step`, `RunSteps`,
-/// `RunAsync`) hold the lock for their whole run, so operators issued from
-/// other threads observe campaign boundaries, never intermediate states.
+/// pt-guarded selector pointer — the single-threaded engine's state).
+/// Campaign drivers (`Step`, `RunSteps`, `RunAsync`) hold the lock for
+/// their whole run, so operators issued from other threads observe
+/// campaign boundaries, never intermediate states.
 /// Lock ordering: `mu_` may be held while the internally synchronized
 /// `TaskPool`/`AsyncTrainingExecutor` locks are taken, never the reverse.
 class EaseMlService {
  public:
   struct Options {
-    /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): tenant arm
-    /// selection and belief folds run on that many shard workers, with the
-    /// selection trace bit-identical to the sequential engine.
-    /// `selector.num_devices` sizes the async pipeline as before; the two
-    /// compose.
+    /// Selector engine configuration (`MultiTenantSelector::Create`; its
+    /// InvalidArgument refusals are `Create`'s). `selector.num_devices`
+    /// sizes the async pipeline.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;
     /// Fraction of fed examples whose labels are noisy (weak supervision).
@@ -128,11 +125,7 @@ class EaseMlService {
   /// keeps up to `selector.num_devices` assignments in flight on an
   /// `AsyncTrainingExecutor` worker pool (one worker per device by
   /// default; pass `num_workers > 0` to override), reconciling completions
-  /// in whatever order devices finish. Completions are handed to the
-  /// selector BEFORE the task-pool bookkeeping: a sharded selector's
-  /// `Report` returns after validating the ticket and enqueuing the belief
-  /// fold on the owning shard worker, so the fold runs concurrently with
-  /// the bookkeeping instead of blocking the dispatch loop. Every task moves through the pool's
+  /// in whatever order devices finish. Every task moves through the pool's
   /// kPending -> kRunning -> kDone transitions exactly as in `Step`; a
   /// failed training run requeues its task, returns its selector ticket,
   /// and surfaces the error after the drain with the service in a
@@ -207,12 +200,8 @@ class EaseMlService {
   Mutex* mu_{mu_storage_.get()};
 
   Options options_;
-  /// Sequential or sharded engine, per `Options::selector.num_shards`
-  /// (built by `shard::MakeSelector`); both speak the same ticketed
-  /// protocol with bit-identical selection traces. The pointer is set once
-  /// in the constructor; the engine state it names is what the service
-  /// lock guards (the sharded engine also carries its own lock, taken
-  /// after `mu_` per the ordering above).
+  /// The selector engine. The pointer is set once in the constructor; the
+  /// engine state it names is what the service lock guards.
   std::unique_ptr<core::MultiTenantSelector> selector_
       EASEML_PT_GUARDED_BY(mu_);
   SimulatedTrainingExecutor executor_ EASEML_GUARDED_BY(mu_);

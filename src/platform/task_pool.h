@@ -30,11 +30,7 @@ struct Task {
 /// selector) decides execution order.
 ///
 /// Thread-safe: every public method locks the pool's own mutex (task rows
-/// are tiny and copied out, never referenced across calls). The service's
-/// coordinator is the only writer today, but the shard-parallel report
-/// pipeline (ROADMAP) will complete tasks from shard workers — the lock
-/// discipline is annotated and compile-checked now so that change cannot
-/// introduce an unguarded access.
+/// are tiny and copied out, never referenced across calls).
 class TaskPool {
  public:
   /// Registers a user's candidate tasks; returns the new task ids.

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace easeml::scheduler {
 
 namespace {
@@ -115,116 +117,37 @@ bool CandidateIndex::Candidacy::Admits(double bound) const {
   return sum->CompareScaled(bound, finite_count) >= 0;
 }
 
-CandidateIndex::CandidateIndex(int num_shards, bool track_gap)
-    : track_gap_(track_gap), shards_(static_cast<size_t>(num_shards)) {}
-
-void CandidateIndex::SyncPlacement(const std::vector<std::vector<int>>& locals,
-                                   const std::vector<UserState>& users) {
-  // Ids are dense and never reused, so only tenants the index has never
-  // seen (the tail) need a fresh key derivation; every other cached key is
-  // current by the invalidation contract.
-  const size_t old_size = keys_.size();
-  keys_.resize(users.size());
-  shard_of_.assign(users.size(), -1);
-  slot_of_.assign(users.size(), -1);
-  for (size_t id = old_size; id < users.size(); ++id) {
-    keys_[id] = DeriveKey(users[id]);
-  }
-  for (int s = 0; s < num_shards(); ++s) {
-    shards_[static_cast<size_t>(s)].tenants = locals[static_cast<size_t>(s)];
-    RebuildShard(s);
-  }
+void CandidateIndex::Count(const TenantKey& key, int sign) {
+  if (!key.schedulable || !std::isfinite(key.bound)) return;
+  bound_sum_.AddProduct(key.bound, sign);
+  finite_count_ += sign;
 }
 
-void CandidateIndex::RebuildShard(int shard) {
-  Shard& sh = shards_[static_cast<size_t>(shard)];
-  std::vector<IndexNode> leaves;
-  leaves.reserve(sh.tenants.size());
-  sh.bound_sum = ExactDoubleSum();
-  sh.finite_count = 0;
-  for (size_t slot = 0; slot < sh.tenants.size(); ++slot) {
-    const int id = sh.tenants[slot];
-    shard_of_[id] = shard;
-    slot_of_[id] = static_cast<int>(slot);
-    const TenantKey& key = keys_[id];
-    leaves.push_back(IndexNode::MakeLeaf(id, key));
-    if (key.schedulable && std::isfinite(key.bound)) {
-      sh.bound_sum.Add(key.bound);
-      ++sh.finite_count;
-    }
-  }
-  sh.tree.Assign(std::move(leaves));
-}
-
-void CandidateIndex::AppendTenant(int shard, const UserState& user) {
+void CandidateIndex::AppendTenant(const UserState& user) {
   const int id = user.user_id();
-  if (id >= static_cast<int>(keys_.size())) {
-    keys_.resize(static_cast<size_t>(id) + 1);
-    shard_of_.resize(static_cast<size_t>(id) + 1, -1);
-    slot_of_.resize(static_cast<size_t>(id) + 1, -1);
-  }
-  keys_[id] = DeriveKey(user);
-  Shard& sh = shards_[static_cast<size_t>(shard)];
-  shard_of_[id] = shard;
-  slot_of_[id] = static_cast<int>(sh.tenants.size());
-  sh.tenants.push_back(id);
-  sh.tree.Append(IndexNode::MakeLeaf(id, keys_[id]));
-  const TenantKey& key = keys_[id];
-  if (key.schedulable && std::isfinite(key.bound)) {
-    sh.bound_sum.Add(key.bound);
-    ++sh.finite_count;
-  }
+  EASEML_CHECK(id == static_cast<int>(keys_.size()))
+      << "index: tenant " << id << " appended after " << keys_.size()
+      << " tenants (ids must be dense)";
+  keys_.push_back(DeriveKey(user));
+  tree_.Append(IndexNode::MakeLeaf(id, keys_.back()));
+  Count(keys_.back(), +1);
 }
 
 void CandidateIndex::Refresh(const UserState& user) {
-  // Callers hold the owning selector's lock, or are the shard's owning
-  // worker inside a routed solo or queued fold (see the header's external-
-  // synchronization contract); either way this mutation is ordered before
-  // the next pick's root read.
   const int id = user.user_id();
-  if (id >= static_cast<int>(keys_.size())) {
-    // Tenant added but never synced (callers sync on add; be defensive).
-    keys_.resize(static_cast<size_t>(id) + 1);
-    shard_of_.resize(static_cast<size_t>(id) + 1, -1);
-    slot_of_.resize(static_cast<size_t>(id) + 1, -1);
-  }
   const TenantKey fresh = DeriveKey(user);
-  const int shard = shard_of_[id];
-  if (shard >= 0) {
-    Shard& sh = shards_[static_cast<size_t>(shard)];
-    const TenantKey& old = keys_[id];
-    // Exact +/- deltas: ExactDoubleSum is integer arithmetic, so the
-    // removal cancels the original addition bit-for-bit and the running
-    // sum always equals a fresh accumulation over the current members.
-    if (old.schedulable && std::isfinite(old.bound)) {
-      sh.bound_sum.AddProduct(old.bound, -1);
-      --sh.finite_count;
-    }
-    if (fresh.schedulable && std::isfinite(fresh.bound)) {
-      sh.bound_sum.Add(fresh.bound);
-      ++sh.finite_count;
-    }
-    sh.tree.Update(slot_of_[id], IndexNode::MakeLeaf(id, fresh));
-  }
+  // Exact +/- deltas: ExactDoubleSum is integer arithmetic, so the
+  // removal cancels the original addition bit-for-bit and the running
+  // sum always equals a fresh accumulation over the current members.
+  Count(keys_[id], -1);
+  Count(fresh, +1);
+  tree_.Update(id, IndexNode::MakeLeaf(id, fresh));
   keys_[id] = fresh;
 }
 
-int CandidateIndex::MinUninitialized() const {
-  int min_id = kNone;
-  for (const Shard& sh : shards_) {
-    min_id = std::min(min_id, sh.tree.Root().min_uninitialized);
-  }
-  return min_id;
-}
-
-bool CandidateIndex::AnySchedulable() const {
-  for (const Shard& sh : shards_) {
-    if (sh.tree.Root().cnt_schedulable > 0) return true;
-  }
-  return false;
-}
-
 namespace {
+
+using Tree = TournamentTree<CandidateIndex::IndexNode>;
 
 /// Pruned argmax descent for GREEDY's line-8 pick over candidates.
 /// Candidacy is monotone in the bound (the exact scaled comparison grows
@@ -233,9 +156,7 @@ namespace {
 /// whose max key cannot beat the current best are cut by the same total
 /// order the scan's argmax uses. The result is the unique (key desc, id
 /// asc) optimum over candidates, independent of visit order.
-void DescendBestCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
-                          const std::vector<int>& tenants,
-                          const CandidateIndex& index,
+void DescendBestCandidate(const Tree& tree, const CandidateIndex& index,
                           const CandidateIndex::Candidacy& candidacy,
                           bool use_gap, int node, CandidateIndex::Best* best) {
   const CandidateIndex::IndexNode& n = tree.node(node);
@@ -248,39 +169,32 @@ void DescendBestCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
                                        use_gap ? n.max_gap_id : n.max_bound_id};
   if (!potential.Beats(*best)) return;
   if (tree.is_leaf(node)) {
-    const int tenant = tenants[static_cast<size_t>(tree.slot_of(node))];
+    const int tenant = tree.slot_of(node);
     if (candidacy.Admits(index.Key(tenant).bound) && potential.Beats(*best)) {
       *best = potential;
     }
     return;
   }
-  DescendBestCandidate(tree, tenants, index, candidacy, use_gap, 2 * node,
-                       best);
-  DescendBestCandidate(tree, tenants, index, candidacy, use_gap, 2 * node + 1,
-                       best);
+  DescendBestCandidate(tree, index, candidacy, use_gap, 2 * node, best);
+  DescendBestCandidate(tree, index, candidacy, use_gap, 2 * node + 1, best);
 }
 
-/// Leftmost (= lowest-id: leaves ascend) candidate leaf, kNone if none.
-int DescendMinCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
-                        const std::vector<int>& tenants,
+/// Leftmost (= lowest-id) candidate leaf, kNone if none.
+int DescendMinCandidate(const Tree& tree,
                         const CandidateIndex::Candidacy& candidacy, int node) {
   const CandidateIndex::IndexNode& n = tree.node(node);
   if (n.cnt_schedulable == 0) return kNone;
   if (n.max_bound_id == kNone || !candidacy.Admits(n.max_bound)) return kNone;
-  if (tree.is_leaf(node)) {
-    return tenants[static_cast<size_t>(tree.slot_of(node))];
-  }
-  const int left = DescendMinCandidate(tree, tenants, candidacy, 2 * node);
+  if (tree.is_leaf(node)) return tree.slot_of(node);
+  const int left = DescendMinCandidate(tree, candidacy, 2 * node);
   if (left != kNone) return left;
-  return DescendMinCandidate(tree, tenants, candidacy, 2 * node + 1);
+  return DescendMinCandidate(tree, candidacy, 2 * node + 1);
 }
 
 /// Lowest schedulable id among leaf slots >= `from_slot`. `lo`/`hi` is the
-/// slot range `node` covers. Leaves ascend by id, so the leftmost
-/// schedulable slot in range carries the minimum id.
-int DescendMinSchedulableFrom(
-    const TournamentTree<CandidateIndex::IndexNode>& tree, int node, int lo,
-    int hi, int from_slot) {
+/// slot range `node` covers.
+int DescendMinSchedulableFrom(const Tree& tree, int node, int lo, int hi,
+                              int from_slot) {
   const CandidateIndex::IndexNode& n = tree.node(node);
   if (n.cnt_schedulable == 0 || hi <= from_slot) return kNone;
   if (lo >= from_slot) return n.min_schedulable;
@@ -292,8 +206,8 @@ int DescendMinSchedulableFrom(
 }
 
 /// Number of schedulable leaves in slots [0, end_slot).
-int DescendCountBefore(const TournamentTree<CandidateIndex::IndexNode>& tree,
-                       int node, int lo, int hi, int end_slot) {
+int DescendCountBefore(const Tree& tree, int node, int lo, int hi,
+                       int end_slot) {
   const CandidateIndex::IndexNode& n = tree.node(node);
   if (n.cnt_schedulable == 0 || lo >= end_slot) return 0;
   if (hi <= end_slot) return n.cnt_schedulable;
@@ -304,116 +218,71 @@ int DescendCountBefore(const TournamentTree<CandidateIndex::IndexNode>& tree,
 
 }  // namespace
 
-CandidateIndex::Best CandidateIndex::BestCandidate(int shard,
-                                                   const Candidacy& candidacy,
-                                                   bool use_gap,
-                                                   Best best) const {
-  const Shard& sh = shards_[static_cast<size_t>(shard)];
-  if (!sh.tenants.empty()) {
-    DescendBestCandidate(sh.tree, sh.tenants, *this, candidacy, use_gap,
-                         TournamentTree<IndexNode>::kRoot, &best);
-  }
+// Empty and padding slots hold the identity summary (no schedulable
+// tenant), so every descent below stops on them without a bounds check.
+
+CandidateIndex::Best CandidateIndex::BestCandidate(const Candidacy& candidacy,
+                                                   bool use_gap) const {
+  Best best;
+  DescendBestCandidate(tree_, *this, candidacy, use_gap, Tree::kRoot, &best);
   return best;
 }
 
-int CandidateIndex::MinCandidate(int shard, const Candidacy& candidacy) const {
-  const Shard& sh = shards_[static_cast<size_t>(shard)];
-  if (sh.tenants.empty()) return kNone;
-  if (candidacy.all_candidates) return sh.tree.Root().min_schedulable;
-  return DescendMinCandidate(sh.tree, sh.tenants, candidacy,
-                             TournamentTree<IndexNode>::kRoot);
+int CandidateIndex::MinCandidate(const Candidacy& candidacy) const {
+  if (candidacy.all_candidates) return Root().min_schedulable;
+  return DescendMinCandidate(tree_, candidacy, Tree::kRoot);
 }
 
-int CandidateIndex::MinSchedulableAtLeast(int shard, int id_floor) const {
-  const Shard& sh = shards_[static_cast<size_t>(shard)];
-  if (sh.tenants.empty()) return kNone;
-  const auto it =
-      std::lower_bound(sh.tenants.begin(), sh.tenants.end(), id_floor);
-  const int from_slot = static_cast<int>(it - sh.tenants.begin());
-  if (from_slot >= static_cast<int>(sh.tenants.size())) return kNone;
-  return DescendMinSchedulableFrom(sh.tree, TournamentTree<IndexNode>::kRoot,
-                                   0, sh.tree.leaf_begin(), from_slot);
+int CandidateIndex::MinSchedulableAtLeast(int id_floor) const {
+  return DescendMinSchedulableFrom(tree_, Tree::kRoot, 0, tree_.leaf_begin(),
+                                   id_floor);
 }
 
-int CandidateIndex::CountSchedulableLeq(int shard, int id_cap) const {
-  const Shard& sh = shards_[static_cast<size_t>(shard)];
-  if (sh.tenants.empty()) return 0;
-  const auto it =
-      std::upper_bound(sh.tenants.begin(), sh.tenants.end(), id_cap);
-  const int end_slot = static_cast<int>(it - sh.tenants.begin());
-  if (end_slot == 0) return 0;
-  return DescendCountBefore(sh.tree, TournamentTree<IndexNode>::kRoot, 0,
-                            sh.tree.leaf_begin(), end_slot);
-}
-
-std::vector<std::vector<int>> CandidateIndex::Placement() const {
-  std::vector<std::vector<int>> locals;
-  locals.reserve(shards_.size());
-  for (const Shard& sh : shards_) locals.push_back(sh.tenants);
-  return locals;
+int CandidateIndex::CountSchedulableLeq(int id_cap) const {
+  return DescendCountBefore(tree_, Tree::kRoot, 0, tree_.leaf_begin(),
+                            id_cap + 1);
 }
 
 Status CandidateIndex::Validate(const std::vector<UserState>& users) const {
-  std::vector<int> seen(users.size(), 0);
-  for (int s = 0; s < num_shards(); ++s) {
-    const Shard& sh = shards_[static_cast<size_t>(s)];
-    ExactDoubleSum fresh_sum;
-    int fresh_finite = 0;
-    int prev_id = -1;
-    for (size_t slot = 0; slot < sh.tenants.size(); ++slot) {
-      const int id = sh.tenants[slot];
-      if (id < 0 || id >= static_cast<int>(users.size())) {
-        return Status::Internal("index: shard " + std::to_string(s) +
-                                " places unknown tenant " +
-                                std::to_string(id));
-      }
-      if (id <= prev_id) {
-        return Status::Internal("index: shard " + std::to_string(s) +
-                                " local ids not strictly ascending");
-      }
-      prev_id = id;
-      if (++seen[id] > 1) {
-        return Status::Internal("index: tenant " + std::to_string(id) +
-                                " placed in more than one shard");
-      }
-      if (shard_of_[id] != s || slot_of_[id] != static_cast<int>(slot)) {
-        return Status::Internal("index: tenant " + std::to_string(id) +
-                                " placement map out of sync");
-      }
-      // Stale-leaf check: the cached key must be re-derivable bit-for-bit.
-      const TenantKey fresh_key = DeriveKey(users[id]);
-      if (!SameKey(fresh_key, keys_[id])) {
-        return Status::Internal("index: stale key for tenant " +
-                                std::to_string(id));
-      }
-      if (!SameNode(sh.tree.Leaf(static_cast<int>(slot)),
-                    IndexNode::MakeLeaf(id, fresh_key))) {
-        return Status::Internal("index: stale leaf for tenant " +
-                                std::to_string(id));
-      }
-      if (fresh_key.schedulable && std::isfinite(fresh_key.bound)) {
-        fresh_sum.Add(fresh_key.bound);
-        ++fresh_finite;
-      }
+  if (keys_.size() != users.size() ||
+      tree_.num_leaves() != static_cast<int>(users.size())) {
+    return Status::Internal("index: tracks " + std::to_string(keys_.size()) +
+                            " tenants, the engine has " +
+                            std::to_string(users.size()));
+  }
+  ExactDoubleSum fresh_sum;
+  int fresh_finite = 0;
+  for (size_t id = 0; id < users.size(); ++id) {
+    const int tenant = static_cast<int>(id);
+    // Stale-leaf check: the cached key must be re-derivable bit-for-bit.
+    const TenantKey fresh_key = DeriveKey(users[id]);
+    if (!SameKey(fresh_key, keys_[id])) {
+      return Status::Internal("index: stale key for tenant " +
+                              std::to_string(tenant));
     }
-    if (fresh_finite != sh.finite_count) {
-      return Status::Internal("index: shard " + std::to_string(s) +
-                              " finite-bound count drifted");
+    if (!SameNode(tree_.Leaf(tenant), IndexNode::MakeLeaf(tenant, fresh_key))) {
+      return Status::Internal("index: stale leaf for tenant " +
+                              std::to_string(tenant));
     }
-    if (fresh_sum.Compare(sh.bound_sum) != 0) {
-      return Status::Internal("index: shard " + std::to_string(s) +
-                              " exact bound sum drifted");
+    if (fresh_key.schedulable && std::isfinite(fresh_key.bound)) {
+      fresh_sum.Add(fresh_key.bound);
+      ++fresh_finite;
     }
-    // Replay every internal merge: the materialized reduction must equal a
-    // fresh fold over the current leaves.
-    for (int node = sh.tree.leaf_begin() - 1; node >= 1; --node) {
-      if (!SameNode(sh.tree.node(node),
-                    IndexNode::Merge(sh.tree.node(2 * node),
-                                     sh.tree.node(2 * node + 1)))) {
-        return Status::Internal("index: shard " + std::to_string(s) +
-                                " internal node " + std::to_string(node) +
-                                " out of date");
-      }
+  }
+  if (fresh_finite != finite_count_) {
+    return Status::Internal("index: finite-bound count drifted");
+  }
+  if (fresh_sum.Compare(bound_sum_) != 0) {
+    return Status::Internal("index: exact bound sum drifted");
+  }
+  // Replay every internal merge: the materialized reduction must equal a
+  // fresh fold over the current leaves.
+  for (int node = tree_.leaf_begin() - 1; node >= 1; --node) {
+    const IndexNode merged =
+        IndexNode::Merge(tree_.node(2 * node), tree_.node(2 * node + 1));
+    if (!SameNode(tree_.node(node), merged)) {
+      return Status::Internal("index: internal node " + std::to_string(node) +
+                              " out of date");
     }
   }
   return Status::OK();

@@ -15,15 +15,14 @@ namespace easeml::scheduler {
 ///
 /// The reference scan (`PickUser`) rescans all T tenants on every `Next()`
 /// even though a `Report` changes exactly one tenant's (bound, gap)
-/// summary. The index inverts that: each shard keeps a monotone
-/// `TournamentTree` over its tenants' policy summaries (`TenantKey` →
+/// summary. The index inverts that: one monotone `TournamentTree` whose
+/// leaf `t` summarizes tenant `t`'s policy state (`TenantKey` →
 /// `IndexNode`, merged with the same total-order tie-breaks as the scan's
 /// argmax loops), plus the exactly-mergeable scalar aggregates of GREEDY's
 /// candidate threshold. A tenant event (`Report`, `Cancel`, arm selection,
 /// retirement) refreshes ONE leaf and replays its O(log T) root path; a
-/// pick reads the N shard roots in O(1) each and merges them with that
-/// total order, so the result is bit-identical to the scan for every shard
-/// count.
+/// pick reads the root, or descends from it, and is bit-identical to the
+/// scan by construction.
 ///
 /// ## Per-policy keys and their invalidation contract
 ///
@@ -33,9 +32,9 @@ namespace easeml::scheduler {
 ///
 ///   - GREEDY: (UCB bound sigma~, line-8 gap, exact-sum candidate
 ///     membership). The candidate threshold "bound * finite_count >= exact
-///     sum" is evaluated against incrementally maintained `ExactDoubleSum`
-///     aggregates — exact integer arithmetic, so adding a bound and later
-///     subtracting it restores the accumulator bit-for-bit and the
+///     sum" is evaluated against an incrementally maintained
+///     `ExactDoubleSum` — exact integer arithmetic, so adding a bound and
+///     later subtracting it restores the accumulator bit-for-bit and the
 ///     incremental sum equals the scan's fresh accumulation exactly. The
 ///     line-8 argmax runs as a pruned tournament descent (candidacy is
 ///     monotone in the bound, so a subtree whose max bound fails the
@@ -46,8 +45,8 @@ namespace easeml::scheduler {
 ///     min), so advancing it never touches a leaf — the epoch-offset idea
 ///     with the offset applied at read time.
 ///   - RANDOM: per-node schedulable counts give the total for the uniform
-///     draw (identical RNG stream) and rank/prefix counts let a binary
-///     search recover the j-th schedulable id in global ascending order.
+///     draw (identical RNG stream) and rank counts let a binary search
+///     recover the j-th schedulable id in ascending order.
 ///   - HYBRID: delegates to the active phase (GREEDY before the freeze
 ///     switch, ROUNDROBIN after); its freeze detector runs in `OnOutcome`,
 ///     outside the pick path, identically on both paths.
@@ -55,30 +54,12 @@ namespace easeml::scheduler {
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
 /// arm selection, outcome fold, cancel, retire — before the next pick.
-/// Tenant churn additionally re-partitions shards (the shard map rebalances
-/// within +-1), which re-slots leaves: the selector calls `SyncPlacement`
-/// with the new shard->tenants lists (cached keys are reused; churn costs
-/// O(T) re-aggregation, no per-tenant O(K) diagnostics reads).
+/// Tenant ids are dense and never reused, and a retired tenant keeps its
+/// (neutral) leaf, so leaf slot == tenant id for the index's lifetime.
 ///
-/// ## External synchronization
-///
-/// Not thread-safe as a whole, and deliberately mutex-free: the index is
-/// engine state behind the owning selector's annotated lock (the sharded
-/// engine's `mu_`, an `easeml::Mutex` from common/thread_annotations.h).
-/// Because the selector reaches it through an owning pointer, that
-/// guarded-by relation is expressed on the selector side
-/// (`EASEML_PT_GUARDED_BY`-style at the owner), not here — a struct cannot
-/// name a mutex it has never heard of. The worker-side exception mirrors
-/// `ShardPool`'s discipline: a shard's owning worker may `Refresh` leaves
-/// of ITS tree — during a routed solo or a queued report fold — without
-/// holding the selector lock. The pool's internal mutex orders those
-/// writes before the coordinator's next read (solo completion or queue
-/// drain), and distinct shards own disjoint trees, so
-/// concurrent folds on different workers never touch the same node; the
-/// cached-key vector is indexed per tenant and never resized worker-side
-/// (churn drains the queues first). Any new caller must either hold the
-/// owning selector's lock or inherit exclusion from the pool the same
-/// way.
+/// Not thread-safe, and deliberately mutex-free: the index is engine state,
+/// serialized by whatever serializes the owning selector (the service's
+/// mutex, or the single driving thread).
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring
@@ -97,8 +78,7 @@ class CandidateIndex {
 
   /// Tournament summary over a leaf range. All merges are exact (integer
   /// counts, min-id, strictly-greater-key argmax with lowest-id tie-break —
-  /// the scan's total orders), so the root is independent of the
-  /// leaf partition and grouping.
+  /// the scan's total orders), so the root equals the scan's fold.
   struct IndexNode {
     int cnt_schedulable = 0;
     int min_schedulable = kNone;    // lowest schedulable tenant id
@@ -116,10 +96,10 @@ class CandidateIndex {
     static IndexNode Merge(const IndexNode& a, const IndexNode& b);
   };
 
-  /// GREEDY's candidate-membership context: the exact threshold statistics
-  /// merged over every shard. When `all_candidates` (no finite bound
-  /// exists) every schedulable tenant is a candidate and the threshold test
-  /// is skipped — the scan paths' fallback.
+  /// GREEDY's candidate-membership context: the exact threshold
+  /// statistics. When `all_candidates` (no finite bound exists) every
+  /// schedulable tenant is a candidate and the threshold test is skipped —
+  /// the scan paths' fallback.
   struct Candidacy {
     const ExactDoubleSum* sum = nullptr;
     int finite_count = 0;
@@ -145,69 +125,47 @@ class CandidateIndex {
     }
   };
 
-  /// An index over `num_shards` >= 1 shard trees, initially empty.
-  /// `track_gap` controls whether keys carry the line-8 gap — the one
-  /// O(K) derivation (the batched MaxUcb read). Only GREEDY/HYBRID picks
-  /// consume it; engines serving the other schedulers pass false so the
-  /// per-event refresh stays O(log T) with no posterior reads at all.
-  explicit CandidateIndex(int num_shards, bool track_gap = true);
+  /// An empty index. `track_gap` controls whether keys carry the line-8
+  /// gap — the one O(K) derivation (the batched MaxUcb read). Only
+  /// GREEDY/HYBRID picks consume it; engines serving the other schedulers
+  /// pass false so the per-event refresh stays O(log T) with no posterior
+  /// reads at all.
+  explicit CandidateIndex(bool track_gap = true) : track_gap_(track_gap) {}
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Bulk (re)build: replaces the shard->tenants placement. `locals[s]`
-  /// lists shard s's tenant ids ascending; every id must be < users.size()
-  /// and appear in at most one shard. Cached keys are reused for tenants
-  /// the index already tracks; keys for new tenants are derived from
-  /// `users`. O(T) total — the rebalance path, not the add hot path.
-  void SyncPlacement(const std::vector<std::vector<int>>& locals,
-                     const std::vector<UserState>& users);
-
-  /// Places a NEW tenant at the tail of `shard` in O(log T) amortized —
-  /// valid because tenant ids grow monotonically, so a new id is above
-  /// every placed id. The single-shard engine's add path (the sharded
-  /// engine resyncs instead: its map may rebalance other tenants).
-  void AppendTenant(int shard, const UserState& user);
+  /// Appends a NEW tenant as the trailing leaf in O(log T) amortized.
+  /// `user.user_id()` must equal the number of tenants appended so far
+  /// (ids are dense and grow monotonically).
+  void AppendTenant(const UserState& user);
 
   /// Recomputes `user`'s key (the only O(K) step: the batched MaxUcb
   /// diagnostics read) and replays its leaf's O(log T) root path plus the
-  /// shard's scalar aggregates. No-op on the tree when the tenant is not
-  /// placed (e.g. already retired out of the placement).
+  /// scalar aggregates. The tenant must have been appended.
   void Refresh(const UserState& user);
 
-  // --- O(1) per-shard reads (merge across shards at the call site) -------
-  const IndexNode& Root(int shard) const { return shards_[shard].tree.Root(); }
-  int FiniteCount(int shard) const { return shards_[shard].finite_count; }
-  const ExactDoubleSum& BoundSum(int shard) const {
-    return shards_[shard].bound_sum;
-  }
+  // --- O(1) reads ---------------------------------------------------------
+  const IndexNode& Root() const { return tree_.Root(); }
+  int FiniteCount() const { return finite_count_; }
+  const ExactDoubleSum& BoundSum() const { return bound_sum_; }
 
-  // --- Cross-shard convenience reads (exact min/sum merges) --------------
-  /// Lowest tenant id the initialization sweep must serve; kNone if none.
-  int MinUninitialized() const;
-  /// True iff any tenant is schedulable right now.
-  bool AnySchedulable() const;
+  // --- Pruned descents ----------------------------------------------------
+  /// Argmax of the line-8 key over CANDIDATES. `use_gap` picks the gap key
+  /// (kMaxUcbGap) vs the bound itself (kMaxEmpiricalBound).
+  Best BestCandidate(const Candidacy& candidacy, bool use_gap) const;
 
-  // --- Pruned descents (per shard; merge across shards at the call site) --
-  /// Argmax of the line-8 key over shard-local CANDIDATES, threaded through
-  /// `best` so later shards prune against earlier winners. `use_gap` picks
-  /// the gap key (kMaxUcbGap) vs the bound itself (kMaxEmpiricalBound).
-  Best BestCandidate(int shard, const Candidacy& candidacy, bool use_gap,
-                     Best best) const;
+  /// Lowest candidate tenant id; kNone if none. (The scan's min_candidate
+  /// fallback for the all-keys-at--inf case.)
+  int MinCandidate(const Candidacy& candidacy) const;
 
-  /// Lowest candidate tenant id in `shard`; kNone if none. (The scan's
-  /// min_candidate fallback for the all-keys-at--inf case.)
-  int MinCandidate(int shard, const Candidacy& candidacy) const;
-
-  /// Lowest schedulable tenant id >= `id_floor` in `shard`; kNone if none.
+  /// Lowest schedulable tenant id >= `id_floor`; kNone if none.
   /// Round-robin's cyclic pick = this at the cursor, else the global min.
-  int MinSchedulableAtLeast(int shard, int id_floor) const;
+  int MinSchedulableAtLeast(int id_floor) const;
 
-  /// Number of schedulable tenants in `shard` with id <= `id_cap` —
-  /// RANDOM's rank query for recovering the j-th schedulable id.
-  int CountSchedulableLeq(int shard, int id_cap) const;
+  /// Number of schedulable tenants with id <= `id_cap` — RANDOM's rank
+  /// query for recovering the j-th schedulable id.
+  int CountSchedulableLeq(int id_cap) const;
 
   /// The cached key for `tenant` (fresh iff the invalidation contract was
-  /// honored). Valid for any id the index has ever seen.
+  /// honored).
   const TenantKey& Key(int tenant) const { return keys_[tenant]; }
 
   /// Whether keys carry the line-8 gap (see the constructor).
@@ -217,38 +175,27 @@ class CandidateIndex {
   /// `users` and every aggregate from scratch and compares against the
   /// incrementally maintained state — keys bit-for-bit, sums by exact
   /// comparison, every tree node re-merged. Returns Internal on the first
-  /// divergence. O(T log T); never called on the serving path.
+  /// divergence. O(T); never called on the serving path.
   Status Validate(const std::vector<UserState>& users) const;
 
-  /// The placement the index currently reflects (ascending per shard);
-  /// the sharded engine's ValidateIndex checks it against its shard map.
-  std::vector<std::vector<int>> Placement() const;
-
  private:
-  struct Shard {
-    TournamentTree<IndexNode> tree;
-    std::vector<int> tenants;  // leaf slot -> tenant id, ascending
-    // GREEDY phase-A scalar aggregates, maintained by exact +/- deltas:
-    // ExactDoubleSum is exact integer arithmetic, so removals cancel
-    // additions bit-for-bit and the running value always equals a fresh
-    // accumulation over the current members.
-    ExactDoubleSum bound_sum;
-    int finite_count = 0;
-  };
-
-  /// Rebuilds one shard's tree + scalars from cached keys. O(|tenants|).
-  void RebuildShard(int shard);
-
   /// MakeTenantKey with this index's gap-tracking mode (defined after the
   /// free function's declaration).
   TenantKey DeriveKey(const UserState& user) const;
 
+  /// Adds (`sign` = +1) or removes (-1) `key`'s contribution to the
+  /// GREEDY phase-A scalar aggregates.
+  void Count(const TenantKey& key, int sign);
+
   bool track_gap_ = true;
-  std::vector<Shard> shards_;
-  // Indexed by tenant id (ids are dense and never reused).
-  std::vector<TenantKey> keys_;
-  std::vector<int> shard_of_;  // -1 when not placed
-  std::vector<int> slot_of_;
+  TournamentTree<IndexNode> tree_;  // leaf slot == tenant id
+  std::vector<TenantKey> keys_;     // indexed by tenant id
+  // GREEDY phase-A scalar aggregates, maintained by exact +/- deltas:
+  // ExactDoubleSum is exact integer arithmetic, so removals cancel
+  // additions bit-for-bit and the running value always equals a fresh
+  // accumulation over the current members.
+  ExactDoubleSum bound_sum_;
+  int finite_count_ = 0;
 };
 
 /// The ONE derivation of a tenant's index key from its runtime state; both

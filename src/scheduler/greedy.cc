@@ -18,8 +18,8 @@ constexpr int kNoUser = std::numeric_limits<int>::max();
 /// "sigma~ >= average of the finite sigma~ over active users" becomes
 /// "sigma~ * finite_count >= exact sum", with no floating-point rounding on
 /// either side. Exactness is what makes the test independent of the order
-/// (and partition) in which the bounds were accumulated, so the scan and
-/// the index's per-shard aggregates agree bit-for-bit. Users without
+/// in which the bounds were accumulated, so the scan and the index's
+/// incrementally maintained aggregate agree bit-for-bit. Users without
 /// observations (sigma~ = +inf) are always candidates; NaN / -inf bounds
 /// never are (mirroring the IEEE semantics of the former `bound >= avg`
 /// comparison).
@@ -135,74 +135,48 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
     return PickUser(users, round);
   }
   (void)round;
-  const int num_shards = index.num_shards();
-
-  // Phase A from the O(1) per-shard aggregates. Count/min merges are
-  // associative and the bound sum is exact, so this fold equals the scan's
-  // single-pass accumulation bit-for-bit.
-  int bad_user = kNoUser;
-  int active = 0;
-  int finite = 0;
-  ExactDoubleSum sum;
-  for (int s = 0; s < num_shards; ++s) {
-    const CandidateIndex::IndexNode& root = index.Root(s);
-    bad_user = std::min(bad_user, root.min_bad_policy);
-    active += root.cnt_schedulable;
-    finite += index.FiniteCount(s);
-    sum.Merge(index.BoundSum(s));
-  }
-  if (bad_user != kNoUser) {
+  // Phase A from the O(1) root aggregates. Count/min merges are exact and
+  // the bound sum is exact, so this equals the scan's single-pass
+  // accumulation bit-for-bit.
+  const CandidateIndex::IndexNode& root = index.Root();
+  if (root.min_bad_policy != kNoUser) {
     return Status::FailedPrecondition(
-        "Greedy: user " + std::to_string(bad_user) +
+        "Greedy: user " + std::to_string(root.min_bad_policy) +
         " does not run a belief-backed policy (GP-UCB)");
   }
-  if (active == 0) {
+  if (root.cnt_schedulable == 0) {
     return Status::FailedPrecondition("Greedy: all users exhausted");
   }
   CandidateIndex::Candidacy candidacy;
-  candidacy.sum = &sum;
-  candidacy.finite_count = finite;
-  candidacy.all_candidates = finite == 0;
+  candidacy.sum = &index.BoundSum();
+  candidacy.finite_count = index.FiniteCount();
+  candidacy.all_candidates = candidacy.finite_count == 0;
   const bool use_gap = rule_ == Line8Rule::kMaxUcbGap;
 
   // Phase B quick path: the global argmax key over ALL schedulable users,
-  // read off the shard roots in O(1). When it is itself a candidate it is
-  // the argmax over candidates too (same total order on a superset) — the
+  // read off the root in O(1). When it is itself a candidate it is the
+  // argmax over candidates too (same total order on a superset) — the
   // common case, since high sigma~ and high UCB gap are correlated. For
   // the max-empirical-bound rule this always resolves: the largest finite
   // bound passes its own average and +inf is always a candidate.
-  CandidateIndex::Best best;
-  for (int s = 0; s < num_shards; ++s) {
-    const CandidateIndex::IndexNode& root = index.Root(s);
-    const CandidateIndex::Best shard_best{
-        use_gap ? root.max_gap : root.max_bound,
-        use_gap ? root.max_gap_id : root.max_bound_id};
-    if (shard_best.Beats(best)) best = shard_best;
-  }
+  CandidateIndex::Best best{use_gap ? root.max_gap : root.max_bound,
+                            use_gap ? root.max_gap_id : root.max_bound_id};
   if (best.user != CandidateIndex::kNone &&
       !candidacy.Admits(index.Key(best.user).bound)) {
-    // Slow path: pruned tournament descent per shard, threaded so later
-    // shards prune against earlier winners (associative total order — same
-    // result as the scan's single argmax loop).
-    best = CandidateIndex::Best{};
-    for (int s = 0; s < num_shards; ++s) {
-      best = index.BestCandidate(s, candidacy, use_gap, best);
-    }
+    // Slow path: pruned tournament descent (same total order as the
+    // scan's single argmax loop).
+    best = index.BestCandidate(candidacy, use_gap);
   }
   if (best.user != CandidateIndex::kNone) return best.user;
 
   // No candidate key above -inf (all NaN/-inf): the sequential loop keeps
   // its `candidates[0]` initializer — the lowest candidate id.
-  int min_candidate = kNoUser;
-  for (int s = 0; s < num_shards; ++s) {
-    min_candidate = std::min(min_candidate, index.MinCandidate(s, candidacy));
-  }
-  if (min_candidate == kNoUser) {
+  const int min_candidate = index.MinCandidate(candidacy);
+  if (min_candidate == CandidateIndex::kNone) {
     return Status::Internal("Greedy: empty candidate set in index");
   }
   return min_candidate;
 }
-
 
 void GreedyScheduler::SaveDurable(std::string* out) const {
   PutString(out, rng_.SaveState());

@@ -18,8 +18,8 @@ namespace easeml::scheduler {
 /// The threshold test is evaluated EXACTLY (`ExactDoubleSum`): membership
 /// is "sigma~ · finite_count >= exact sum of finite bounds", which is
 /// independent of accumulation order — the property that lets the candidate
-/// index merge per-shard aggregates in any partition and still reproduce
-/// this set bit-identically.
+/// index maintain the sum incrementally (add and subtract per tenant event)
+/// and still reproduce this set bit-identically.
 std::vector<int> ComputeCandidateSet(const std::vector<UserState>& users);
 
 /// How line 8 of Algorithm 2 picks one user from the candidate set. The
@@ -53,8 +53,8 @@ class GreedyScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Index-backed pick: phase A from the exactly-merged shard aggregates
-  /// (O(N)), phase B from the root argmax when it is a candidate (the
+  /// Index-backed pick: phase A from the index's exact root aggregates
+  /// (O(1)), phase B from the root argmax when it is a candidate (the
   /// common case) or a pruned tournament descent otherwise — no O(T) scan,
   /// no per-candidate MaxUcb reads. The random line-8 rule falls back to
   /// the sequential scan (candidate RANKS are not indexable under a moving

@@ -33,10 +33,6 @@ class HybridScheduler : public SchedulerPolicy {
                               const CandidateIndex& index) override;
   void OnOutcome(const std::vector<UserState>& users,
                  int served_user) override;
-  /// The freeze detector reads every tenant's candidate set and best
-  /// reward in OnOutcome, so asynchronous report pipelines must drain
-  /// their queued folds before sequencing it.
-  bool ObservesOutcomes() const override { return true; }
   bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "hybrid"; }
 

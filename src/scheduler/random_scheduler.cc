@@ -21,14 +21,11 @@ Result<int> RandomScheduler::PickUserIndexed(
   (void)round;
   // The scan draws active[j] from the ascending active list. The
   // index recovers the same user without materializing the list: the
-  // schedulable total comes off the shard roots (one UniformInt — the RNG
-  // stream is identical), and the j-th schedulable id in GLOBAL ascending
-  // order is the smallest id whose cross-shard prefix rank reaches j+1,
-  // found by binary search over the id space with O(log T) rank queries.
-  int total = 0;
-  for (int s = 0; s < index.num_shards(); ++s) {
-    total += index.Root(s).cnt_schedulable;
-  }
+  // schedulable total comes off the root (one UniformInt — the RNG stream
+  // is identical), and the j-th schedulable id in ascending order is the
+  // smallest id whose prefix rank reaches j+1, found by binary search over
+  // the id space with O(log T) rank queries.
+  const int total = index.Root().cnt_schedulable;
   if (total == 0) {
     return Status::FailedPrecondition("Random: all users exhausted");
   }
@@ -37,11 +34,7 @@ Result<int> RandomScheduler::PickUserIndexed(
   int hi = static_cast<int>(users.size()) - 1;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    int rank = 0;
-    for (int s = 0; s < index.num_shards(); ++s) {
-      rank += index.CountSchedulableLeq(s, mid);
-    }
-    if (rank >= j + 1) {
+    if (index.CountSchedulableLeq(mid) >= j + 1) {
       hi = mid;
     } else {
       lo = mid + 1;

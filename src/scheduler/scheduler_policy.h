@@ -35,7 +35,7 @@ class SchedulerPolicy {
                                int round) = 0;
 
   /// Index-backed twin of `PickUser`: answers the pick from the selector's
-  /// incremental candidate index (per-shard tournament roots + pruned
+  /// incremental candidate index (tournament root reads + pruned
   /// descents, see scheduler/candidate_index.h) in O(log T) instead of
   /// rescanning all T users — and must pick the SAME user `PickUser` would,
   /// bit-identically, with identical consumption of any policy state
@@ -57,14 +57,6 @@ class SchedulerPolicy {
     (void)users;
     (void)served_user;
   }
-
-  /// True when OnOutcome actually reads engine state (HYBRID's freeze
-  /// detector scans every tenant's candidate set and best reward). Engines
-  /// that fold outcomes asynchronously must quiesce the fold pipeline
-  /// before sequencing OnOutcome for such a policy — and may sequence it
-  /// immediately, with folds still queued, when this is false (the
-  /// default: OnOutcome is a no-op for the other policies).
-  virtual bool ObservesOutcomes() const { return false; }
 
   /// Whether the algorithm requires the initialization sweep of Algorithm 2
   /// (serve every user once before regular scheduling).

@@ -251,10 +251,11 @@ Status CutCheckpoint(FileSystem* fs, const std::string& dir, SelectorWal* wal,
     cp.wal_priors.push_back(std::move(p));
   }
   if (plane != nullptr) {
-    const obs::FleetSnapshot snapshot = plane->Snapshot();
+    const std::shared_ptr<const obs::FleetSnapshot> snapshot =
+        plane->Snapshot();
     cp.has_obs = true;
-    cp.obs.fleet_epoch = snapshot.epoch();
-    cp.obs.totals = snapshot.Totals();
+    cp.obs.fleet_epoch = snapshot->epoch;
+    cp.obs.totals = snapshot->totals;
   }
   return WriteCheckpoint(fs, dir, cp);
 }

@@ -19,13 +19,13 @@ std::string LogPath(const std::string& dir);
 std::string CheckpointPath(const std::string& dir);
 
 /// Advisory observability metadata cut from the snapshot plane's published
-/// blocks at checkpoint time. Published blocks LAG the engine (shards
-/// publish on an interval), so recovery can only cross-check inequalities:
+/// snapshot at checkpoint time. The published snapshot LAGS the engine (it
+/// publishes on an interval), so recovery can only cross-check inequalities:
 /// the snapshot totals must not be AHEAD of the restored engine state —
 /// if they are, the checkpoint mixes generations and is rejected.
 struct CheckpointObsMetadata {
   uint64_t fleet_epoch = 0;
-  obs::ShardAggregates totals;
+  obs::FleetAggregates totals;
 };
 
 /// A checkpoint: the complete quiesced engine state, the WAL's prior

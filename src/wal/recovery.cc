@@ -5,7 +5,6 @@
 
 #include "gp/shared_prior_gp.h"
 #include "linalg/matrix.h"
-#include "shard/sharded_selector.h"
 #include "wal/record.h"
 
 namespace easeml::wal {
@@ -35,7 +34,7 @@ Status ReplayFailure(const Record& record, const Status& status) {
       ") was acknowledged but does not replay: " + status.ToString());
 }
 
-/// The obs metadata is cut from published snapshot blocks, which LAG the
+/// The obs metadata is cut from the published snapshot, which LAGS the
 /// engine — so its totals can run BEHIND the restored state but never
 /// ahead of it. Ahead means the checkpoint mixes two generations of
 /// state (e.g. a snapshot from a different run) and must be rejected.
@@ -77,7 +76,10 @@ Result<RecoveredSelector> OpenOrRecover(FileSystem* fs, const std::string& dir,
   // Replay drives the engine's PUBLIC API, re-running the exact
   // validation the original run passed; the WAL is suspended, so the
   // hooks inside those calls do not double-log.
-  EASEML_ASSIGN_OR_RETURN(out.selector, shard::MakeSelector(options));
+  EASEML_ASSIGN_OR_RETURN(core::MultiTenantSelector selector,
+                          core::MultiTenantSelector::Create(options));
+  out.selector =
+      std::make_unique<core::MultiTenantSelector>(std::move(selector));
 
   EASEML_ASSIGN_OR_RETURN(std::optional<Checkpoint> checkpoint,
                           ReadCheckpoint(fs, dir));

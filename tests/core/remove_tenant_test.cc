@@ -1,5 +1,5 @@
-/// MultiTenantSelector::RemoveTenant — the tenant-churn primitive shard
-/// rebalancing builds on: refusal taxonomy (in-flight tickets, double
+/// MultiTenantSelector::RemoveTenant — the tenant-churn primitive: refusal
+/// taxonomy (in-flight tickets, double
 /// removal, unknown ids), exclusion from every scheduling path, retained
 /// read-side history, and continued campaign progress for the survivors.
 #include "core/multi_tenant_selector.h"

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 namespace easeml::core {
 namespace {
@@ -25,6 +28,16 @@ TEST(SelectorTest, CreateValidatesOptions) {
   bad.hybrid_patience = 0;
   EXPECT_FALSE(MultiTenantSelector::Create(bad).ok());
   EXPECT_TRUE(MultiTenantSelector::Create(SelectorOptions()).ok());
+}
+
+TEST(SelectorTest, CreateRefusesShardCountsOtherThanOne) {
+  for (const int shards : {0, 2}) {
+    SelectorOptions options;
+    options.num_shards = shards;
+    auto created = MultiTenantSelector::Create(options);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << "shards=" << shards;
+  }
 }
 
 TEST(SelectorTest, SchedulerKindNames) {
@@ -215,6 +228,36 @@ TEST(SelectorTest, DefaultPriorCachePrunesDeadShapesOnLookup) {
   // A pure cache HIT (the anchor's live shape) must sweep all ten.
   ASSERT_TRUE(anchor.AddTenantWithDefaultPrior(3, {1.0, 1.0, 1.0}).ok());
   EXPECT_EQ(DefaultPriorCacheSizeForTesting(), live_floor);
+}
+
+/// Selectors on different threads register default-prior tenants at once:
+/// the process-wide cache (one prior per (K, noise)) is the state they
+/// share, behind its mutex.
+TEST(DefaultPriorCacheStressTest, ConcurrentSelectorSetup) {
+  constexpr int kThreads = 4;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      SelectorOptions options;
+      options.scheduler = SchedulerKind::kFcfs;
+      auto engine = MultiTenantSelector::Create(options);
+      if (!engine.ok()) {
+        failed = true;
+        return;
+      }
+      for (int t = 0; t < 40; ++t) {
+        // Overlapping (K, noise) keys across all threads.
+        const int k = 2 + (t + i) % 3;
+        const double noise = (t % 2 == 0) ? 1e-2 : 5e-3;
+        auto id = engine->AddTenantWithDefaultPrior(
+            k, std::vector<double>(k, 1.0), noise);
+        if (!id.ok()) failed = true;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
 }
 
 }  // namespace

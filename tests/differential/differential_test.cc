@@ -27,7 +27,6 @@
 #include "core/multi_tenant_selector.h"
 #include "obs/fleet_observer.h"
 #include "scheduler/scheduler_policy.h"
-#include "shard/sharded_selector.h"
 #include "wal/checkpoint.h"
 #include "wal/fault_injection.h"
 #include "wal/recovery.h"
@@ -66,7 +65,6 @@ std::vector<double> Costs(int tenant, int models) {
 enum class WalMode { kNone, kFsync, kDeferred };
 
 struct Config {
-  int shards = 1;
   bool index = false;
   WalMode wal = WalMode::kNone;
   bool observer = false;
@@ -74,28 +72,24 @@ struct Config {
 
 std::string Label(const Config& c) {
   static const char* const kWal[] = {"", "/fsync", "/deferred"};
-  return "N=" + std::to_string(c.shards) + (c.index ? "/index" : "/scan") +
+  return std::string(c.index ? "index" : "scan") +
          kWal[static_cast<int>(c.wal)] + (c.observer ? "/observed" : "");
 }
 
+/// Every engine configuration: index x WAL tier x observer, each of the
+/// 2 x 3 x 2 combinations exactly once (`ConfigTable.CoversEveryCombination`
+/// checks this).
+constexpr Config kTable[] = {
+    {false, WalMode::kNone},           {true, WalMode::kNone},
+    {false, WalMode::kFsync},          {true, WalMode::kFsync},
+    {false, WalMode::kDeferred},       {true, WalMode::kDeferred},
+    {false, WalMode::kNone, true},     {true, WalMode::kNone, true},
+    {false, WalMode::kFsync, true},    {true, WalMode::kFsync, true},
+    {false, WalMode::kDeferred, true}, {true, WalMode::kDeferred, true},
+};
+
 /// The table rows `keep` accepts.
 std::vector<Config> Rows(const std::function<bool(const Config&)>& keep) {
-  using W = WalMode;
-  static const Config kTable[] = {
-      // Plain engines: every shard count, scan and index (N=3: fuzz).
-      {1, false}, {1, true}, {2, false}, {2, true}, {3, true},
-      {4, false}, {4, true}, {7, false}, {7, true},
-      // Synced WAL, unobserved: the crash profile's rows.
-      {1, false, W::kFsync}, {1, true, W::kFsync},
-      {4, false, W::kFsync}, {4, true, W::kFsync},
-      // With the rows above, every pair of values of (shards, index, WAL
-      // tier, observer) occurs in some row.
-      {1, true, W::kNone, true}, {2, false, W::kNone, true},
-      {7, true, W::kNone, true}, {2, true, W::kFsync, true},
-      {7, false, W::kFsync, true}, {1, false, W::kDeferred},
-      {7, true, W::kDeferred}, {2, false, W::kDeferred, true},
-      {4, true, W::kDeferred, true},
-  };
   std::vector<Config> rows;
   for (const Config& c : kTable) {
     if (keep(c)) rows.push_back(c);
@@ -519,7 +513,6 @@ class Runner {
     options.seed = p_.seed;
     options.num_devices = p_.devices;
     options.cost_aware = p_.cost_aware;
-    options.num_shards = c.shards;
     options.use_candidate_index = c.index;
     return options;
   }
@@ -558,7 +551,9 @@ class Runner {
       s.observer = std::move(observed.observer);
       s.engine = std::move(observed.selector);
     } else {
-      EASEML_ASSIGN_OR_RETURN(s.engine, shard::MakeSelector(options));
+      EASEML_ASSIGN_OR_RETURN(MultiTenantSelector engine,
+                              MultiTenantSelector::Create(options));
+      s.engine = std::make_unique<MultiTenantSelector>(std::move(engine));
     }
     return Status::OK();
   }
@@ -655,9 +650,8 @@ class Runner {
       EASEML_RETURN_NOT_OK(ApplyCrash(*s.fs, crash));
       core::SelectorOptions options = Options(s.config);
       if (s.config.observer) {
-        obs::FleetObserverOptions obs_options;
-        obs_options.num_shards = s.config.shards;
-        s.observer = std::make_unique<obs::FleetObserver>(obs_options);
+        s.observer =
+            std::make_unique<obs::FleetObserver>(obs::FleetObserverOptions{});
         options.observer = s.observer.get();
       }
       Result<wal::RecoveredSelector> recovered = wal::OpenOrRecover(
@@ -757,21 +751,37 @@ std::string KindName(SchedulerKind kind) {
   return name;
 }
 
-// campaign: N in {1,2,4,7} x scan/index, D in {1,3}, with and without
-// tenant churn.
+// Every (index, WAL tier, observer) combination is a row, exactly once.
+TEST(ConfigTable, CoversEveryCombination) {
+  std::set<std::tuple<bool, WalMode, bool>> seen;
+  for (const Config& c : kTable) {
+    EXPECT_TRUE(seen.emplace(c.index, c.wal, c.observer).second)
+        << "duplicate row " << Label(c);
+  }
+  for (const bool index : {false, true}) {
+    for (const WalMode wal :
+         {WalMode::kNone, WalMode::kFsync, WalMode::kDeferred}) {
+      for (const bool observer : {false, true}) {
+        EXPECT_EQ(seen.count({index, wal, observer}), 1u)
+            << "missing row " << Label({index, wal, observer});
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 12u);
+}
+
+// campaign: scan and index, D in {1,3}, with and without tenant churn.
 class ShardedConformanceTest
     : public ::testing::TestWithParam<std::tuple<SchedulerKind, int>> {};
 
-bool CampaignRow(const Config& c) { return Plain(c) && c.shards != 3; }
-
 TEST_P(ShardedConformanceTest, ReplaysUnshardedBitIdentically) {
   const auto [kind, devices] = GetParam();
-  ExpectNoDivergence(Campaign(devices, false), kind, Rows(CampaignRow));
+  ExpectNoDivergence(Campaign(devices, false), kind, Rows(Plain));
 }
 
 TEST_P(ShardedConformanceTest, ReplaysUnshardedUnderTenantChurn) {
   const auto [kind, devices] = GetParam();
-  ExpectNoDivergence(Campaign(devices, true), kind, Rows(CampaignRow));
+  ExpectNoDivergence(Campaign(devices, true), kind, Rows(Plain));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -784,14 +794,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 class PerPolicyTest : public ::testing::TestWithParam<SchedulerKind> {};
 
-// fuzz: the index at N=1 and N=3.
+bool PlainIndex(const Config& c) { return Plain(c) && c.index; }
+
+// fuzz: the index.
 using IndexFuzzConformanceTest = PerPolicyTest;
 
 TEST_P(IndexFuzzConformanceTest, IndexedPicksEqualScanPicksEventForEvent) {
-  ExpectNoDivergence(Fuzz(), GetParam(), Rows([](const Config& c) {
-                       return Plain(c) && c.index &&
-                              (c.shards == 1 || c.shards == 3);
-                     }));
+  ExpectNoDivergence(Fuzz(), GetParam(), Rows(PlainIndex));
 }
 
 // orderings: all 2^6 choice vectors of the T=2, K=3, D=2 campaign (six
@@ -801,8 +810,7 @@ using AsyncOrderingTest = PerPolicyTest;
 TEST_P(AsyncOrderingTest, EveryReportOrderingIsLegal) {
   constexpr int kTenants = 2;
   constexpr int kModels = 3;
-  const std::vector<Config> rows = Rows(
-      [](const Config& c) { return Plain(c) && c.index && c.shards <= 2; });
+  const std::vector<Config> rows = Rows(PlainIndex);
   std::set<std::vector<int64_t>> distinct_orderings;
   for (uint32_t bits = 0; bits < (1u << (kTenants * kModels)); ++bits) {
     const Outcome outcome = RunProfile(Orderings(bits), GetParam(), rows);
@@ -851,27 +859,25 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, AsyncOrderingTest,
                          ::testing::ValuesIn(kAllKinds),
                          [](const auto& info) { return KindName(info.param); });
 
-// out_of_order: the queued report pipeline folds in the reference's order
-// at every shard count.
-std::vector<Config> OutOfOrderRows(bool index, std::set<int> shards) {
-  return Rows([&](const Config& c) {
-    return Plain(c) && c.index == index && shards.count(c.shards) > 0;
-  });
+// out_of_order: completions handed back in a permuted order fold exactly
+// as in the reference.
+std::vector<Config> OutOfOrderRows(bool index) {
+  return Rows([&](const Config& c) { return Plain(c) && c.index == index; });
 }
 
 TEST(ReportPipelineStressTest, OutOfOrderLockstepParityGreedyIndexed) {
   ExpectNoDivergence(OutOfOrder(), SchedulerKind::kGreedy,
-                     OutOfOrderRows(true, {1, 2, 4, 7}));
+                     OutOfOrderRows(true));
 }
 
 TEST(ReportPipelineStressTest, OutOfOrderLockstepParityHybridIndexed) {
   ExpectNoDivergence(OutOfOrder(), SchedulerKind::kHybrid,
-                     OutOfOrderRows(true, {1, 2, 4, 7}));
+                     OutOfOrderRows(true));
 }
 
 TEST(ReportPipelineStressTest, OutOfOrderLockstepParityGreedyScan) {
   ExpectNoDivergence(OutOfOrder(), SchedulerKind::kGreedy,
-                     OutOfOrderRows(false, {2, 7}));
+                     OutOfOrderRows(false));
 }
 
 // Traces stay bit-identical with a WAL (every tier) or an observer on:
@@ -883,8 +889,8 @@ TEST(OpenOrRecover, WalOnOffTracesAreBitIdentical) {
   }
 }
 
-// crash: synced-WAL engines at N in {1,4} x scan/index, killed under every
-// scenario, with and without a mid-operation crash point.
+// crash: synced-WAL engines, scan and index, killed under every scenario,
+// with and without a mid-operation crash point.
 TEST(KillRecoverBattery, RecoveredStateIsBitIdenticalAcrossTheMatrix) {
   const std::vector<Config> rows = Rows(
       [](const Config& c) { return c.wal == WalMode::kFsync && !c.observer; });
@@ -919,7 +925,6 @@ class FlipNthPick final : public scheduler::SchedulerPolicy {
   void OnOutcome(const Users& users, int served) override {
     real_->OnOutcome(users, served);
   }
-  bool ObservesOutcomes() const override { return real_->ObservesOutcomes(); }
   bool RequiresInitialSweep() const override {
     return real_->RequiresInitialSweep();
   }

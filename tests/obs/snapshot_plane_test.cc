@@ -1,8 +1,7 @@
 /// Property tests for the snapshot plane: epoch monotonicity, COW chunk
 /// sharing across publishes, integer-aggregate == recount equality, and —
-/// the headline invariant — a quiesced published snapshot agrees exactly
-/// with the engine's own accessors and a `ValidateIndex()` read at the
-/// same epoch.
+/// the headline invariant — a flushed snapshot agrees exactly with the
+/// engine's own accessors and a `ValidateIndex()` read at the same epoch.
 #include "obs/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -28,102 +27,102 @@ TenantObservation MakeObs(int tenant, int rounds, bool schedulable) {
   return o;
 }
 
-/// Recomputes a block's aggregates from its published entries; the plane's
-/// running integer diffs must match this exactly (never approximately —
-/// that is why `ShardAggregates` holds no double).
-ShardAggregates Recount(const ShardBlock& block) {
-  ShardAggregates agg;
-  for (int pos = 0; pos < block.size(); ++pos) {
-    const TenantObservation& o = block.at(pos);
+/// Recomputes a snapshot's aggregates from its published entries; the
+/// plane's running integer diffs must match this exactly (never
+/// approximately — that is why `FleetAggregates` holds no double).
+FleetAggregates Recount(const FleetSnapshot& snap) {
+  FleetAggregates agg;
+  snap.ForEachTenant([&agg](const TenantObservation& o) {
     agg.tenants += 1;
     agg.retired += o.retired ? 1 : 0;
     agg.schedulable += o.schedulable ? 1 : 0;
     agg.uninitialized += o.uninitialized ? 1 : 0;
     agg.in_flight += o.in_flight;
     agg.rounds += o.rounds_served;
-  }
+  });
   return agg;
 }
 
 TEST(SnapshotPlaneTest, SeedsAnEmptyBlockPerShard) {
-  SnapshotPlane plane(/*num_shards=*/3);
-  const FleetSnapshot snap = plane.Snapshot();
-  ASSERT_EQ(snap.shards.size(), 3u);
-  for (const auto& block : snap.shards) {
-    ASSERT_NE(block, nullptr);
-    EXPECT_EQ(block->epoch, 0u);
-    EXPECT_EQ(block->size(), 0);
-  }
-  EXPECT_EQ(snap.epoch(), 0u);
+  SnapshotPlane plane;
+  const std::shared_ptr<const FleetSnapshot> snap = plane.Snapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->epoch, 0u);
+  EXPECT_EQ(snap->num_tenants, 0);
+  EXPECT_TRUE(snap->chunks.empty());
 }
 
 TEST(SnapshotPlaneTest, PublishesAfterIntervalAndOnFlush) {
-  SnapshotPlane plane(/*num_shards=*/1, /*publish_interval=*/4);
-  for (int t = 0; t < 2; ++t) plane.Place(t, 0);
+  SnapshotPlane plane(/*publish_interval=*/4);
+  for (int t = 0; t < 2; ++t) plane.Place(t);
   // Two placement events are below the interval and Place never publishes
-  // on its own: readers still see the seed block.
-  EXPECT_EQ(plane.Snapshot().epoch(), 0u);
+  // on its own: readers still see the seed snapshot.
+  EXPECT_EQ(plane.Snapshot()->epoch, 0u);
   plane.Apply(MakeObs(0, 1, true));
   plane.Apply(MakeObs(1, 1, true));  // 4th event >= interval -> publish
-  const FleetSnapshot snap = plane.Snapshot();
-  EXPECT_EQ(snap.epoch(), 4u);
-  EXPECT_EQ(snap.shards[0]->size(), 2);
-  EXPECT_EQ(snap.shards[0]->at(0).rounds_served, 1);
-  // One more event sits unpublished until FlushAll.
+  const std::shared_ptr<const FleetSnapshot> snap = plane.Snapshot();
+  EXPECT_EQ(snap->epoch, 4u);
+  EXPECT_EQ(snap->num_tenants, 2);
+  EXPECT_EQ(snap->at(0).rounds_served, 1);
+  // One more event sits unpublished until Flush.
   plane.Apply(MakeObs(0, 2, true));
-  EXPECT_EQ(plane.Snapshot().epoch(), 4u);
-  plane.FlushAll();
-  const FleetSnapshot flushed = plane.Snapshot();
-  EXPECT_EQ(flushed.epoch(), 5u);
-  EXPECT_EQ(flushed.shards[0]->at(0).rounds_served, 2);
+  EXPECT_EQ(plane.Snapshot()->epoch, 4u);
+  plane.Flush();
+  const std::shared_ptr<const FleetSnapshot> flushed = plane.Snapshot();
+  EXPECT_EQ(flushed->epoch, 5u);
+  EXPECT_EQ(flushed->at(0).rounds_served, 2);
 }
 
 TEST(SnapshotPlaneTest, EpochsAreMonotonePerShardAndFleetwide) {
-  SnapshotPlane plane(/*num_shards=*/2, /*publish_interval=*/1);
-  for (int t = 0; t < 8; ++t) plane.Place(t, t % 2);
-  uint64_t last_fleet = 0;
-  std::vector<uint64_t> last_shard(2, 0);
+  SnapshotPlane plane(/*publish_interval=*/1);
+  for (int t = 0; t < 8; ++t) plane.Place(t);
+  uint64_t last = 0;
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     plane.Apply(MakeObs(rng.UniformInt(0, 7), i, true));
-    const FleetSnapshot snap = plane.Snapshot();
-    EXPECT_GE(snap.epoch(), last_fleet);
-    last_fleet = snap.epoch();
-    for (int s = 0; s < 2; ++s) {
-      EXPECT_GE(snap.shards[s]->epoch, last_shard[s]);
-      last_shard[s] = snap.shards[s]->epoch;
-    }
+    const uint64_t epoch = plane.Snapshot()->epoch;
+    EXPECT_GT(epoch, last);  // interval 1: every apply publishes
+    last = epoch;
   }
 }
 
 TEST(SnapshotPlaneTest, CowSharesCleanChunksAcrossPublishes) {
-  // 128 tenants on one shard = exactly two kChunk=64 chunks.
+  // 128 tenants = exactly two kChunk=64 chunks.
   ASSERT_EQ(kChunk, 64);
-  SnapshotPlane plane(/*num_shards=*/1, /*publish_interval=*/1);
-  for (int t = 0; t < 128; ++t) plane.Place(t, 0);
+  SnapshotPlane plane(/*publish_interval=*/1);
+  for (int t = 0; t < 128; ++t) plane.Place(t);
   plane.Apply(MakeObs(3, 1, true));
-  plane.FlushAll();
-  const FleetSnapshot before = plane.Snapshot();
-  ASSERT_EQ(before.shards[0]->chunks.size(), 2u);
+  plane.Flush();
+  const std::shared_ptr<const FleetSnapshot> before = plane.Snapshot();
+  ASSERT_EQ(before->chunks.size(), 2u);
 
-  // Dirty only chunk 0: the republished block must share chunk 1's storage
-  // (same shared_ptr) and the id vector with its predecessor.
+  // Dirty only chunk 0: the republished snapshot must share chunk 1's
+  // storage (same shared_ptr) with its predecessor.
   plane.Apply(MakeObs(5, 2, true));
-  plane.FlushAll();
-  const FleetSnapshot after = plane.Snapshot();
-  EXPECT_NE(after.shards[0], before.shards[0]);
-  EXPECT_EQ(after.shards[0]->ids, before.shards[0]->ids);
-  EXPECT_NE(after.shards[0]->chunks[0], before.shards[0]->chunks[0]);
-  EXPECT_EQ(after.shards[0]->chunks[1], before.shards[0]->chunks[1]);
-  EXPECT_EQ(after.shards[0]->at(5).rounds_served, 2);
-  // The predecessor block is immutable: the old snapshot still reads the
+  plane.Flush();
+  const std::shared_ptr<const FleetSnapshot> after = plane.Snapshot();
+  EXPECT_NE(after, before);
+  EXPECT_NE(after->chunks[0], before->chunks[0]);
+  EXPECT_EQ(after->chunks[1], before->chunks[1]);
+  EXPECT_EQ(after->at(5).rounds_served, 2);
+  // The predecessor is immutable: the old snapshot still reads the
   // pre-update value.
-  EXPECT_EQ(before.shards[0]->at(5).rounds_served, 0);
+  EXPECT_EQ(before->at(5).rounds_served, 0);
+
+  // A new tenant opens chunk 2; chunks 0 and 1 stay shared.
+  plane.Place(128);
+  plane.Flush();
+  const std::shared_ptr<const FleetSnapshot> grown = plane.Snapshot();
+  ASSERT_EQ(grown->chunks.size(), 3u);
+  EXPECT_EQ(grown->num_tenants, 129);
+  EXPECT_EQ(grown->chunks[0], after->chunks[0]);
+  EXPECT_EQ(grown->chunks[1], after->chunks[1]);
+  EXPECT_EQ(grown->at(128).tenant, 128);
 }
 
 TEST(SnapshotPlaneTest, AggregatesEqualRecountUnderRandomApplies) {
-  SnapshotPlane plane(/*num_shards=*/3, /*publish_interval=*/5);
-  for (int t = 0; t < 100; ++t) plane.Place(t, t % 3);
+  SnapshotPlane plane(/*publish_interval=*/5);
+  for (int t = 0; t < 100; ++t) plane.Place(t);
   Rng rng(42);
   for (int i = 0; i < 500; ++i) {
     const int tenant = rng.UniformInt(0, 99);
@@ -134,46 +133,21 @@ TEST(SnapshotPlaneTest, AggregatesEqualRecountUnderRandomApplies) {
     o.in_flight = rng.UniformInt(0, 3);
     plane.Apply(o);
   }
-  plane.FlushAll();
-  const FleetSnapshot snap = plane.Snapshot();
-  for (int s = 0; s < 3; ++s) {
-    const ShardBlock& block = *snap.shards[s];
-    EXPECT_TRUE(block.agg == Recount(block)) << "shard " << s;
-    const std::vector<int>& ids = *block.ids;
-    for (size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
-    for (int pos = 0; pos < block.size(); ++pos) {
-      EXPECT_EQ(block.at(pos).tenant, ids[static_cast<size_t>(pos)]);
-    }
+  plane.Flush();
+  const std::shared_ptr<const FleetSnapshot> snap = plane.Snapshot();
+  EXPECT_TRUE(snap->totals == Recount(*snap));
+  for (int t = 0; t < snap->num_tenants; ++t) {
+    EXPECT_EQ(snap->at(t).tenant, t);
   }
 }
 
-TEST(SnapshotPlaneTest, SetPlacementRepublishesImmediately) {
-  SnapshotPlane plane(/*num_shards=*/2, /*publish_interval=*/1000);
-  for (int t = 0; t < 6; ++t) plane.Place(t, 0);
-  for (int t = 0; t < 6; ++t) plane.Apply(MakeObs(t, t, true));
-  // Rebalance 3 tenants onto shard 1; no FlushAll — SetPlacement itself
-  // must publish so no reader ever sees the stale partition.
-  plane.SetPlacement({{0, 2, 4}, {1, 3, 5}});
-  const FleetSnapshot snap = plane.Snapshot();
-  ASSERT_EQ(snap.shards[0]->size(), 3);
-  ASSERT_EQ(snap.shards[1]->size(), 3);
-  EXPECT_EQ(*snap.shards[0]->ids, (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(*snap.shards[1]->ids, (std::vector<int>{1, 3, 5}));
-  // Observations moved with their tenants, aggregates recounted.
-  EXPECT_EQ(snap.shards[1]->at(1).rounds_served, 3);
-  EXPECT_TRUE(snap.shards[0]->agg == Recount(*snap.shards[0]));
-  EXPECT_TRUE(snap.shards[1]->agg == Recount(*snap.shards[1]));
-}
-
 /// The headline property: drive a real campaign through an observed engine,
-/// quiesce, flush — the published snapshot must agree EXACTLY with the
-/// engine's own accessors, and the candidate index must validate at the
-/// same epoch.
-void RunQuiescedConsistency(int num_shards) {
+/// flush — the published snapshot must agree EXACTLY with the engine's own
+/// accessors, and the candidate index must validate at the same epoch.
+TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSequential) {
   core::SelectorOptions options;
   options.scheduler = core::SchedulerKind::kGreedy;
   options.num_devices = 3;
-  options.num_shards = num_shards;
   options.use_candidate_index = true;
 
   Registry registry;
@@ -199,16 +173,12 @@ void RunQuiescedConsistency(int num_shards) {
     ASSERT_TRUE(selector->Report(*a, 0.1 + 0.8 * rng.Uniform()).ok());
   }
 
-  // Quiesce: ValidateIndex locks the engine and drains the fold queues
-  // (the sharded engine's folds outlive Report), then flush the plane and
-  // compare world views.
   ASSERT_TRUE(selector->ValidateIndex().ok());
-  observed->observer->plane().FlushAll();
-  const FleetSnapshot snap = observed->observer->plane().Snapshot();
-  ASSERT_EQ(static_cast<int>(snap.shards.size()),
-            num_shards < 1 ? 1 : num_shards);
+  observed->observer->plane().Flush();
+  const std::shared_ptr<const FleetSnapshot> snap =
+      observed->observer->plane().Snapshot();
 
-  const ShardAggregates totals = snap.Totals();
+  const FleetAggregates& totals = snap->totals;
   EXPECT_EQ(totals.tenants, kTenants);
   EXPECT_EQ(totals.in_flight, selector->num_in_flight());
   int expected_rounds = 0;
@@ -220,8 +190,7 @@ void RunQuiescedConsistency(int num_shards) {
   EXPECT_EQ(totals.rounds, expected_rounds);
 
   int seen = 0;
-  snap.ForEachTenant([&](int shard, const TenantObservation& o) {
-    (void)shard;
+  snap->ForEachTenant([&](const TenantObservation& o) {
     ++seen;
     auto served = selector->RoundsServed(o.tenant);
     ASSERT_TRUE(served.ok());
@@ -232,22 +201,30 @@ void RunQuiescedConsistency(int num_shards) {
     EXPECT_EQ(o.in_flight, 0) << "tenant " << o.tenant;
   });
   EXPECT_EQ(seen, kTenants);
-  for (const auto& block : snap.shards) {
-    EXPECT_TRUE(block->agg == Recount(*block));
-  }
+  EXPECT_TRUE(totals == Recount(*snap));
   // The flush published every event: another flush changes nothing.
-  observed->observer->plane().FlushAll();
-  EXPECT_EQ(observed->observer->plane().Snapshot().epoch(), snap.epoch());
+  observed->observer->plane().Flush();
+  EXPECT_EQ(observed->observer->plane().Snapshot()->epoch, snap->epoch);
   // Every snapshot apply showed up in the metrics layer too.
   EXPECT_GT(registry.GetCounter("easeml_tenant_events")->Value(), 0u);
 }
 
-TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSequential) {
-  RunQuiescedConsistency(/*num_shards=*/1);
-}
-
-TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSharded) {
-  RunQuiescedConsistency(/*num_shards=*/4);
+/// Both shard-count fields are 1 or refused, like every option `Create`
+/// refuses.
+TEST(MakeObservedSelectorTest, RefusesShardCountsOtherThanOne) {
+  for (const int shards : {0, 2}) {
+    core::SelectorOptions options;
+    options.num_shards = shards;
+    auto engine = MakeObservedSelector(options, {});
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+        << "selector shards=" << shards;
+    FleetObserverOptions obs_options;
+    obs_options.num_shards = shards;
+    auto observer = MakeObservedSelector({}, obs_options);
+    EXPECT_EQ(observer.status().code(), StatusCode::kInvalidArgument)
+        << "observer shards=" << shards;
+  }
+  EXPECT_TRUE(MakeObservedSelector({}, {}).ok());
 }
 
 }  // namespace

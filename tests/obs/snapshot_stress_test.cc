@@ -1,11 +1,12 @@
 /// TSan-raced snapshot-consistency battery: scanner threads walk
 /// `SnapshotPlane::Snapshot()` continuously while client threads drive
-/// Next/Report/Cancel and a churn thread adds and removes tenants, at
-/// N in {1, 2, 4, 7} shards. Every observed block must be internally
-/// consistent no matter when the scan lands:
-///   - per-shard epochs never move backwards between scans,
-///   - aggregates equal an exact integer recount of the block's entries,
-///   - tenant ids ascend and each entry carries its own id,
+/// Next/Report/Cancel and a churn thread adds and removes tenants (clients
+/// and churn serialized on one mutex, the engine's contract). Every
+/// observed snapshot must be internally consistent no matter when the scan
+/// lands:
+///   - epochs never move backwards between scans,
+///   - aggregates equal an exact integer recount of the entries,
+///   - entry t carries tenant t,
 /// and after the fleet quiesces, a flushed snapshot agrees with the
 /// engine's accessors. tier1.sh's tsan preset runs this file under
 /// ThreadSanitizer — the racy half of the plane's correctness argument.
@@ -20,8 +21,8 @@
 #include "core/multi_tenant_selector.h"
 #include "obs/fleet_observer.h"
 #include "obs/metrics.h"
+#include "common/thread_annotations.h"
 #include "obs/snapshot.h"
-#include "shard/sharded_selector.h"
 
 namespace easeml::obs {
 namespace {
@@ -30,67 +31,50 @@ using core::MultiTenantSelector;
 using core::TenantObservation;
 using Assignment = MultiTenantSelector::Assignment;
 
-ShardAggregates Recount(const ShardBlock& block) {
-  ShardAggregates agg;
-  for (int pos = 0; pos < block.size(); ++pos) {
-    const TenantObservation& o = block.at(pos);
+FleetAggregates Recount(const FleetSnapshot& snap) {
+  FleetAggregates agg;
+  snap.ForEachTenant([&agg](const TenantObservation& o) {
     agg.tenants += 1;
     agg.retired += o.retired ? 1 : 0;
     agg.schedulable += o.schedulable ? 1 : 0;
     agg.uninitialized += o.uninitialized ? 1 : 0;
     agg.in_flight += o.in_flight;
     agg.rounds += o.rounds_served;
-  }
+  });
   return agg;
 }
 
 /// One full-fleet scan with every internal-consistency check applied;
 /// returns false (and records a gtest failure) on the first violation so
 /// the battery aborts instead of flooding the log.
-bool CheckedScan(const SnapshotPlane& plane,
-                 std::vector<uint64_t>* last_epochs) {
-  const FleetSnapshot snap = plane.Snapshot();
-  if (snap.shards.size() != last_epochs->size()) {
-    ADD_FAILURE() << "snapshot shard count changed";
+bool CheckedScan(const SnapshotPlane& plane, uint64_t* last_epoch) {
+  const std::shared_ptr<const FleetSnapshot> snap = plane.Snapshot();
+  if (snap == nullptr) {
+    ADD_FAILURE() << "null snapshot";
     return false;
   }
-  for (size_t s = 0; s < snap.shards.size(); ++s) {
-    const ShardBlock* block = snap.shards[s].get();
-    if (block == nullptr) {
-      ADD_FAILURE() << "null block for shard " << s;
+  if (snap->epoch < *last_epoch) {
+    ADD_FAILURE() << "epoch moved backwards: " << *last_epoch << " -> "
+                  << snap->epoch;
+    return false;
+  }
+  *last_epoch = snap->epoch;
+  if (!(snap->totals == Recount(*snap))) {
+    ADD_FAILURE() << "aggregates disagree with a recount of the published "
+                  << "entries at epoch " << snap->epoch;
+    return false;
+  }
+  for (int t = 0; t < snap->num_tenants; ++t) {
+    if (snap->at(t).tenant != t) {
+      ADD_FAILURE() << "entry " << t << " carries tenant "
+                    << snap->at(t).tenant;
       return false;
-    }
-    if (block->epoch < (*last_epochs)[s]) {
-      ADD_FAILURE() << "shard " << s << " epoch moved backwards: "
-                    << (*last_epochs)[s] << " -> " << block->epoch;
-      return false;
-    }
-    (*last_epochs)[s] = block->epoch;
-    if (!(block->agg == Recount(*block))) {
-      ADD_FAILURE() << "shard " << s << " aggregates disagree with a "
-                    << "recount of the published entries at epoch "
-                    << block->epoch;
-      return false;
-    }
-    const std::vector<int>& ids = *block->ids;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (i > 0 && ids[i - 1] >= ids[i]) {
-        ADD_FAILURE() << "shard " << s << " ids not ascending";
-        return false;
-      }
-      if (block->at(static_cast<int>(i)).tenant != ids[i]) {
-        ADD_FAILURE() << "shard " << s << " entry " << i
-                      << " carries tenant "
-                      << block->at(static_cast<int>(i)).tenant
-                      << ", ids say " << ids[i];
-        return false;
-      }
     }
   }
   return true;
 }
 
-void RunRacedScanBattery(int num_shards) {
+TEST(SnapshotStressTest, RacedScansOneShard) {
   constexpr int kInitialTenants = 24;
   constexpr int kModels = 5;
   constexpr int kClientThreads = 2;
@@ -100,24 +84,21 @@ void RunRacedScanBattery(int num_shards) {
   core::SelectorOptions options;
   options.scheduler = core::SchedulerKind::kGreedy;
   options.num_devices = 6;
-  options.num_shards = num_shards;
   options.use_candidate_index = true;
 
   Registry registry;
   FleetObserverOptions obs_options;
-  obs_options.num_shards = num_shards;
   obs_options.publish_interval = 3;  // publish often: more racing windows
   obs_options.registry = &registry;
   FleetObserver observer(obs_options);
   options.observer = &observer;
-  // Build the sharded engine directly (not via MakeSelector, which returns
-  // the base engine at N=1): its API is internally synchronized, so the
-  // client/churn threads below may race it. The base engine's contract is
-  // external synchronization — racing it would be a test bug, not a
-  // finding.
-  auto created = shard::ShardedMultiTenantSelector::Create(options);
+  auto created = MultiTenantSelector::Create(options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  MultiTenantSelector* selector = created->get();
+  // The engine is single-threaded: clients and churn serialize on `mu`,
+  // as the service does on its own mutex. Scanners never take it — they
+  // read the plane lock-free, which is what this battery races.
+  Mutex mu;
+  MultiTenantSelector* selector = &created.value();
   const SnapshotPlane& plane = observer.plane();
   for (int t = 0; t < kInitialTenants; ++t) {
     ASSERT_TRUE(selector
@@ -130,17 +111,18 @@ void RunRacedScanBattery(int num_shards) {
   std::atomic<bool> failed{false};
   std::atomic<int64_t> scans{0};
 
+  // Each scanner completes one checked scan before it first reads `stop`,
+  // so `scans > 0` holds whatever the thread interleaving.
   auto scanner = [&] {
-    std::vector<uint64_t> last_epochs(
-        static_cast<size_t>(plane.num_shards()), 0);
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!CheckedScan(plane, &last_epochs)) {
+    uint64_t last_epoch = 0;
+    do {
+      if (!CheckedScan(plane, &last_epoch)) {
         failed = true;
         return;
       }
       scans.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();  // be fair on the one-core container
-    }
+      std::this_thread::yield();  // be fair on a one-core host
+    } while (!stop.load(std::memory_order_relaxed));
   };
 
   auto client = [&](int thread_id) {
@@ -148,6 +130,7 @@ void RunRacedScanBattery(int num_shards) {
     std::vector<Assignment> mine;
     for (int op = 0; op < kOpsPerClient && !failed.load(); ++op) {
       const int dice = rng.UniformInt(0, 9);
+      MutexLock lock(mu);
       if (mine.empty() || dice < 5) {
         auto a = selector->Next();
         if (a.ok()) {
@@ -170,6 +153,7 @@ void RunRacedScanBattery(int num_shards) {
         }
       }
     }
+    MutexLock lock(mu);
     for (const Assignment& a : mine) selector->Cancel(a);
   };
 
@@ -184,25 +168,28 @@ void RunRacedScanBattery(int num_shards) {
     constexpr int kRemovalBudget = kInitialTenants / 2;
     int removed = 0;
     while (!stop_churn.load()) {
-      if (removed < kRemovalBudget) {
-        const Status st = selector->RemoveTenant(
-            rng.UniformInt(0, selector->num_tenants() - 1));
-        if (st.ok()) {
-          ++removed;
-        } else if (st.code() != StatusCode::kFailedPrecondition &&
-                   st.code() != StatusCode::kOutOfRange) {
-          ADD_FAILURE() << "RemoveTenant: " << st.ToString();
-          failed = true;
+      {
+        MutexLock lock(mu);
+        if (removed < kRemovalBudget) {
+          const Status st = selector->RemoveTenant(
+              rng.UniformInt(0, selector->num_tenants() - 1));
+          if (st.ok()) {
+            ++removed;
+          } else if (st.code() != StatusCode::kFailedPrecondition &&
+                     st.code() != StatusCode::kOutOfRange) {
+            ADD_FAILURE() << "RemoveTenant: " << st.ToString();
+            failed = true;
+          }
         }
-      }
-      if (added < 6 && rng.UniformInt(0, 2) == 0) {
-        auto id = selector->AddTenantWithDefaultPrior(
-            kModels, std::vector<double>(kModels, 1.0));
-        if (id.ok()) {
-          ++added;
-        } else {
-          ADD_FAILURE() << "AddTenant: " << id.status().ToString();
-          failed = true;
+        if (added < 6 && rng.UniformInt(0, 2) == 0) {
+          auto id = selector->AddTenantWithDefaultPrior(
+              kModels, std::vector<double>(kModels, 1.0));
+          if (id.ok()) {
+            ++added;
+          } else {
+            ADD_FAILURE() << "AddTenant: " << id.status().ToString();
+            failed = true;
+          }
         }
       }
       std::this_thread::yield();
@@ -225,29 +212,20 @@ void RunRacedScanBattery(int num_shards) {
   EXPECT_GT(scans.load(), 0);
   EXPECT_EQ(selector->num_in_flight(), 0);
 
-  // Quiesced epilogue: flush, then the published world must match the
-  // engine's — the raced scans above plus this anchor give the snapshot
-  // plane's full correctness story.
-  // ValidateIndex takes the selector lock and drains the fold queues, so
-  // after it returns no shard worker can still be applying events — the
-  // quiesced precondition FlushAll requires.
+  // Quiesced epilogue (every writer joined): flush, then the published
+  // world must match the engine's — the raced scans above plus this anchor
+  // give the snapshot plane's full correctness story.
   ASSERT_TRUE(selector->ValidateIndex().ok());
-  observer.plane().FlushAll();
-  const FleetSnapshot snap = plane.Snapshot();
-  const ShardAggregates totals = snap.Totals();
-  EXPECT_EQ(totals.in_flight, 0);
-  snap.ForEachTenant([&](int shard, const TenantObservation& o) {
-    (void)shard;
+  observer.plane().Flush();
+  const std::shared_ptr<const FleetSnapshot> snap = plane.Snapshot();
+  EXPECT_EQ(snap->totals.in_flight, 0);
+  EXPECT_EQ(snap->num_tenants, selector->num_tenants());
+  snap->ForEachTenant([&](const TenantObservation& o) {
     auto served = selector->RoundsServed(o.tenant);
     ASSERT_TRUE(served.ok()) << "tenant " << o.tenant;
     EXPECT_EQ(o.rounds_served, *served) << "tenant " << o.tenant;
   });
 }
-
-TEST(SnapshotStressTest, RacedScansOneShard) { RunRacedScanBattery(1); }
-TEST(SnapshotStressTest, RacedScansTwoShards) { RunRacedScanBattery(2); }
-TEST(SnapshotStressTest, RacedScansFourShards) { RunRacedScanBattery(4); }
-TEST(SnapshotStressTest, RacedScansSevenShards) { RunRacedScanBattery(7); }
 
 }  // namespace
 }  // namespace easeml::obs

@@ -2,7 +2,7 @@
 /// checked against brute force over the same keys — including ARTIFICIAL
 /// candidacy thresholds that force the pruned-argmax slow path (global
 /// argmax not a candidate), which real campaigns hit only occasionally —
-/// plus incremental-vs-rebuild equivalence and the Validate() invariant.
+/// plus incremental-refresh consistency and the Validate() invariant.
 #include "scheduler/candidate_index.h"
 
 #include <gtest/gtest.h>
@@ -57,10 +57,11 @@ std::vector<UserState> MakePopulation(int n, int k, uint64_t seed) {
   return users;
 }
 
-std::vector<std::vector<int>> SplitPlacement(int n, int shards) {
-  std::vector<std::vector<int>> locals(shards);
-  for (int i = 0; i < n; ++i) locals[i % shards].push_back(i);
-  return locals;  // each ascending
+/// An index over `users`, appended in id order (the engine's add path).
+CandidateIndex BuildIndex(const std::vector<UserState>& users) {
+  CandidateIndex index;
+  for (const UserState& u : users) index.AppendTenant(u);
+  return index;
 }
 
 /// Brute-force argmax over candidates with the scan's fold semantics.
@@ -94,24 +95,17 @@ int BruteMinCandidate(const CandidateIndex& index, int n,
 TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
   constexpr int kUsers = 41;
   constexpr int kModels = 4;
-  for (int shards : {1, 3, 4}) {
-    auto users = MakePopulation(kUsers, kModels, 1234 + shards);
-    CandidateIndex index(shards);
-    index.SyncPlacement(SplitPlacement(kUsers, shards), users);
+  for (const uint64_t seed : {1235u, 1237u, 1238u}) {
+    auto users = MakePopulation(kUsers, kModels, seed);
+    const CandidateIndex index = BuildIndex(users);
     ASSERT_TRUE(index.Validate(users).ok());
 
-    // Real aggregates...
-    ExactDoubleSum real_sum;
-    int real_finite = 0;
-    for (int s = 0; s < shards; ++s) {
-      real_sum.Merge(index.BoundSum(s));
-      real_finite += index.FiniteCount(s);
-    }
-    // ...plus artificial ones that push the threshold through the whole
-    // bound range, forcing every pruning branch: thresholds between the
-    // minimum and far above the maximum (global argmax not a candidate).
+    // Real aggregates, plus artificial ones that push the threshold
+    // through the whole bound range, forcing every pruning branch:
+    // thresholds between the minimum and far above the maximum (global
+    // argmax not a candidate).
     std::vector<std::pair<ExactDoubleSum, int>> contexts;
-    contexts.emplace_back(real_sum, real_finite);
+    contexts.emplace_back(index.BoundSum(), index.FiniteCount());
     for (double target : {0.0, 0.5, 1.0, 2.0, 5.0, 50.0}) {
       ExactDoubleSum forced;  // mean == target, so candidacy = bound >= target
       forced.Add(target);
@@ -125,44 +119,35 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
       candidacy.finite_count = finite;
       candidacy.all_candidates = finite == 0;
       for (bool use_gap : {true, false}) {
-        CandidateIndex::Best got;
-        for (int s = 0; s < shards; ++s) {
-          got = index.BestCandidate(s, candidacy, use_gap, got);
-        }
+        const CandidateIndex::Best got =
+            index.BestCandidate(candidacy, use_gap);
         const CandidateIndex::Best expected =
             BruteBest(index, kUsers, candidacy, use_gap);
         EXPECT_EQ(got.user, expected.user)
-            << "shards=" << shards << " finite=" << finite
+            << "seed=" << seed << " finite=" << finite
             << " use_gap=" << use_gap;
         if (expected.user != kNone) {
           EXPECT_EQ(got.key, expected.key);
         }
       }
-      int got_min = kNone;
-      for (int s = 0; s < shards; ++s) {
-        got_min = std::min(got_min, index.MinCandidate(s, candidacy));
-      }
-      EXPECT_EQ(got_min, BruteMinCandidate(index, kUsers, candidacy))
-          << "shards=" << shards << " finite=" << finite;
+      EXPECT_EQ(index.MinCandidate(candidacy),
+                BruteMinCandidate(index, kUsers, candidacy))
+          << "seed=" << seed << " finite=" << finite;
     }
 
     // Rank and suffix queries against brute force, at every boundary.
     for (int floor_id = 0; floor_id <= kUsers; ++floor_id) {
-      int got = kNone;
       int expected = kNone;
-      int got_count = 0;
       int expected_count = 0;
-      for (int s = 0; s < shards; ++s) {
-        got = std::min(got, index.MinSchedulableAtLeast(s, floor_id));
-        got_count += index.CountSchedulableLeq(s, floor_id);
-      }
       for (int i = 0; i < kUsers; ++i) {
         if (!index.Key(i).schedulable) continue;
         if (i >= floor_id && expected == kNone) expected = i;
         if (i <= floor_id) ++expected_count;
       }
-      EXPECT_EQ(got, expected) << "floor=" << floor_id;
-      EXPECT_EQ(got_count, expected_count) << "cap=" << floor_id;
+      EXPECT_EQ(index.MinSchedulableAtLeast(floor_id), expected)
+          << "floor=" << floor_id;
+      EXPECT_EQ(index.CountSchedulableLeq(floor_id), expected_count)
+          << "cap=" << floor_id;
     }
   }
 }
@@ -171,8 +156,7 @@ TEST(CandidateIndexTest, RefreshTracksEveryTenantEvent) {
   constexpr int kUsers = 17;
   constexpr int kModels = 3;
   auto users = MakePopulation(kUsers, kModels, 99);
-  CandidateIndex index(2);
-  index.SyncPlacement(SplitPlacement(kUsers, 2), users);
+  CandidateIndex index = BuildIndex(users);
   Rng rng(5);
   for (int step = 0; step < 300; ++step) {
     const int i = rng.UniformInt(0, kUsers - 1);
@@ -210,8 +194,7 @@ TEST(CandidateIndexTest, RefreshTracksEveryTenantEvent) {
 TEST(CandidateIndexTest, ValidateCatchesStaleLeaf) {
   constexpr int kUsers = 6;
   auto users = MakePopulation(kUsers, 3, 7);
-  CandidateIndex index(2);
-  index.SyncPlacement(SplitPlacement(kUsers, 2), users);
+  CandidateIndex index = BuildIndex(users);
   ASSERT_TRUE(index.Validate(users).ok());
   // Mutate a tenant WITHOUT refreshing: the invalidation-contract breach
   // the invariant check exists to catch.
@@ -239,11 +222,10 @@ TEST(CandidateIndexTest, BadPolicyTenantsSurfaceInRoots) {
       UserState::Create(1, std::move(ucb1), std::vector<double>(3, 1.0));
   ASSERT_TRUE(state.ok());
   users.push_back(std::move(state).value());
-  CandidateIndex index(1);
-  index.SyncPlacement({{0, 1}}, users);
-  EXPECT_EQ(index.Root(0).min_bad_policy, 1);
-  EXPECT_EQ(index.Root(0).min_uninitialized, 0);
-  EXPECT_EQ(index.Root(0).cnt_schedulable, 2);
+  const CandidateIndex index = BuildIndex(users);
+  EXPECT_EQ(index.Root().min_bad_policy, 1);
+  EXPECT_EQ(index.Root().min_uninitialized, 0);
+  EXPECT_EQ(index.Root().cnt_schedulable, 2);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "core/multi_tenant_selector.h"
 #include "gtest/gtest.h"
 #include "obs/fleet_observer.h"
-#include "shard/sharded_selector.h"
 #include "wal/fault_injection.h"
 #include "wal/record.h"
 #include "wal/selector_wal.h"
@@ -37,25 +36,25 @@ Status Drive(MultiTenantSelector& s, int steps, Rng& rng) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<MultiTenantSelector>> SmallCampaignEngine(
-    const SelectorOptions& options, int steps) {
-  EASEML_ASSIGN_OR_RETURN(std::unique_ptr<MultiTenantSelector> s,
-                          shard::MakeSelector(options));
+Result<MultiTenantSelector> SmallCampaignEngine(const SelectorOptions& options,
+                                                int steps) {
+  EASEML_ASSIGN_OR_RETURN(MultiTenantSelector s,
+                          MultiTenantSelector::Create(options));
   EASEML_RETURN_NOT_OK(
-      s->AddTenant(MakeTestPrior(3), {1.0, 2.0, 3.0}).status());
+      s.AddTenant(MakeTestPrior(3), {1.0, 2.0, 3.0}).status());
   EASEML_RETURN_NOT_OK(
-      s->AddTenant(MakeTestPrior(4, 0.3), {1.0, 1.0, 2.0, 2.0}).status());
+      s.AddTenant(MakeTestPrior(4, 0.3), {1.0, 1.0, 2.0, 2.0}).status());
   Rng rng(41);
-  EASEML_RETURN_NOT_OK(Drive(*s, steps, rng));
+  EASEML_RETURN_NOT_OK(Drive(s, steps, rng));
   return s;
 }
 
 TEST(CheckpointState, EncodeDecodeRoundTripsBitExactly) {
   SelectorOptions options;
-  WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> s,
+  WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector s,
                            SmallCampaignEngine(options, 12));
   WAL_ASSERT_OK_AND_ASSIGN(const core::DurableSelectorState state,
-                           s->CaptureDurableState());
+                           s.CaptureDurableState());
 
   std::string bytes;
   EncodeDurableSelectorState(&bytes, state);
@@ -71,17 +70,16 @@ TEST(CheckpointState, EncodeDecodeRoundTripsBitExactly) {
 
 TEST(CheckpointState, RestoredEngineCapturesIdenticalBytes) {
   SelectorOptions options;
-  options.num_shards = 2;
-  WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> s,
+  WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector s,
                            SmallCampaignEngine(options, 12));
   WAL_ASSERT_OK_AND_ASSIGN(const core::DurableSelectorState state,
-                           s->CaptureDurableState());
+                           s.CaptureDurableState());
 
-  WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> fresh,
-                           shard::MakeSelector(options));
-  WAL_ASSERT_OK(fresh->RestoreDurableState(state));
+  WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector fresh,
+                           MultiTenantSelector::Create(options));
+  WAL_ASSERT_OK(fresh.RestoreDurableState(state));
   WAL_ASSERT_OK_AND_ASSIGN(const core::DurableSelectorState state2,
-                           fresh->CaptureDurableState());
+                           fresh.CaptureDurableState());
 
   std::string a, b;
   EncodeDurableSelectorState(&a, state);
@@ -93,7 +91,7 @@ Checkpoint SampleCheckpoint() {
   SelectorOptions options;
   auto engine = SmallCampaignEngine(options, 8);
   EASEML_CHECK(engine.ok()) << engine.status().ToString();
-  auto state = (*engine)->CaptureDurableState();
+  auto state = engine->CaptureDurableState();
   EASEML_CHECK(state.ok()) << state.status().ToString();
   Checkpoint cp;
   cp.state = std::move(state).value();
@@ -222,15 +220,15 @@ TEST(CutCheckpoint, SealsLogAndEmbedsPositionAndPriors) {
 
   SelectorOptions options;
   options.wal = wal.get();
-  WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> s,
-                           shard::MakeSelector(options));
-  WAL_ASSERT_OK(s->AddTenant(MakeTestPrior(3), {1.0, 2.0, 3.0}).status());
+  WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector s,
+                           MultiTenantSelector::Create(options));
+  WAL_ASSERT_OK(s.AddTenant(MakeTestPrior(3), {1.0, 2.0, 3.0}).status());
   WAL_ASSERT_OK(
-      s->AddTenant(MakeTestPrior(4, 0.3), {1.0, 1.0, 2.0, 2.0}).status());
+      s.AddTenant(MakeTestPrior(4, 0.3), {1.0, 1.0, 2.0, 2.0}).status());
   Rng rng(7);
-  WAL_ASSERT_OK(Drive(*s, 10, rng));
+  WAL_ASSERT_OK(Drive(s, 10, rng));
 
-  WAL_ASSERT_OK(CutCheckpoint(&fs, "/d", wal.get(), *s, nullptr));
+  WAL_ASSERT_OK(CutCheckpoint(&fs, "/d", wal.get(), s, nullptr));
 
   WAL_ASSERT_OK_AND_ASSIGN(const std::optional<Checkpoint> cp,
                            ReadCheckpoint(&fs, "/d"));
@@ -257,7 +255,6 @@ TEST(CutCheckpoint, CarriesObsMetadataFromThePlane) {
   SelectorOptions options;
   options.wal = wal.get();
   obs::FleetObserverOptions obs_options;
-  obs_options.num_shards = 1;
   obs_options.publish_interval = 1;
   WAL_ASSERT_OK_AND_ASSIGN(obs::ObservedSelector observed,
                            obs::MakeObservedSelector(options, obs_options));

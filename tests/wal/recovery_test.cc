@@ -15,7 +15,6 @@
 #include "core/durable_state.h"
 #include "core/multi_tenant_selector.h"
 #include "gtest/gtest.h"
-#include "shard/sharded_selector.h"
 #include "wal/checkpoint.h"
 #include "wal/fault_injection.h"
 #include "wal/record.h"
@@ -84,6 +83,17 @@ TEST(OpenOrRecover, RefusesOptionsWithAWalAlreadyWired) {
   options.wal = wal.get();
   EXPECT_EQ(OpenOrRecover(&fs, "/d", options).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(OpenOrRecover, RefusesShardCountsOtherThanOne) {
+  FaultInjectingFileSystem fs;
+  for (const int shards : {0, 2}) {
+    SelectorOptions options;
+    options.num_shards = shards;
+    EXPECT_EQ(OpenOrRecover(&fs, "/d", options).status().code(),
+              StatusCode::kInvalidArgument)
+        << "shards=" << shards;
+  }
 }
 
 TEST(OpenOrRecover, ReplaysACleanShutdownExactly) {
@@ -295,11 +305,11 @@ TEST(OpenOrRecover, DeferredModeLosesAtMostTheUnflushedTail) {
         SelectorWal::Open(&fs, LogPath("/d"), wal_options));
     SelectorOptions wired = options;
     wired.wal = wal.get();
-    WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> selector,
-                             shard::MakeSelector(wired));
-    WAL_ASSERT_OK(AddTwoTenants(*selector));
+    WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector selector,
+                             MultiTenantSelector::Create(wired));
+    WAL_ASSERT_OK(AddTwoTenants(selector));
     Rng rng(11);
-    WAL_ASSERT_OK(DriveReported(*selector, 6, rng));
+    WAL_ASSERT_OK(DriveReported(selector, 6, rng));
     live_epoch = wal->position().epoch;
     // Destructors drop the in-process buffer: a kill. The page cache
     // (visible bytes) survives a process crash, so no CrashDropPending.
@@ -331,13 +341,13 @@ TEST(OpenOrRecover, CheckpointSyncsHardInDeferredMode) {
         SelectorWal::Open(&fs, LogPath("/d"), wal_options));
     SelectorOptions wired = options;
     wired.wal = wal.get();
-    WAL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiTenantSelector> selector,
-                             shard::MakeSelector(wired));
-    WAL_ASSERT_OK(AddTwoTenants(*selector));
+    WAL_ASSERT_OK_AND_ASSIGN(MultiTenantSelector selector,
+                             MultiTenantSelector::Create(wired));
+    WAL_ASSERT_OK(AddTwoTenants(selector));
     Rng rng(12);
-    WAL_ASSERT_OK(DriveReported(*selector, 5, rng));
-    WAL_ASSERT_OK(CutCheckpoint(&fs, "/d", wal.get(), *selector, nullptr));
-    live_fingerprint = StateFingerprint(*selector);
+    WAL_ASSERT_OK(DriveReported(selector, 5, rng));
+    WAL_ASSERT_OK(CutCheckpoint(&fs, "/d", wal.get(), selector, nullptr));
+    live_fingerprint = StateFingerprint(selector);
   }
   fs.CrashDropPending();  // power loss: unsynced bytes are gone
   WAL_ASSERT_OK_AND_ASSIGN(RecoveredSelector r,

@@ -2,7 +2,8 @@
 //
 // A token-level checker (no compiler front end required — it must run under
 // the stock GCC toolchain) that enforces the repo conventions which keep the
-// selection traces bit-identical across shard counts and device counts:
+// selection traces bit-identical across engine configurations (index on or
+// off, WAL, observer) and device counts:
 //
 //   unordered-container  no std::unordered_{map,set,multimap,multiset} in the
 //                        engine/scheduler/shard result paths (src/core,

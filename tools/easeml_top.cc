@@ -1,6 +1,6 @@
 // easeml_top: live terminal monitor for an ease.ml fleet, driven entirely
 // through the observability plane — it proves (and demos) that a dashboard
-// needs neither the selector lock nor any engine accessor.
+// never touches the engine: no lock, no accessor.
 //
 // The tool runs a synthetic selection campaign in-process: a driver thread
 // owns the selector (Next/Report with deterministic SplitMix64 accuracies)
@@ -9,7 +9,7 @@
 // bench/analytics_interference measures.
 //
 // Usage:
-//   easeml_top [--tenants=96] [--models=8] [--shards=4] [--devices=4]
+//   easeml_top [--tenants=96] [--models=8] [--devices=4]
 //              [--scheduler=GREEDY] [--interval-ms=500]
 //              [--publish-interval=32] [--once] [--export=text|json]
 //
@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +41,6 @@ using easeml::core::TenantObservation;
 struct TopOptions {
   int tenants = 96;
   int models = 8;
-  int shards = 4;
   int devices = 4;
   std::string scheduler = "GREEDY";
   int interval_ms = 500;
@@ -67,8 +67,6 @@ bool ParseArgs(int argc, char** argv, TopOptions* opts) {
       opts->tenants = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "models", &value)) {
       opts->models = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "shards", &value)) {
-      opts->shards = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "devices", &value)) {
       opts->devices = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "scheduler", &value)) {
@@ -84,8 +82,7 @@ bool ParseArgs(int argc, char** argv, TopOptions* opts) {
       return false;
     }
   }
-  return opts->tenants > 0 && opts->models > 0 && opts->shards > 0 &&
-         opts->devices > 0 && opts->interval_ms > 0 &&
+  return opts->tenants > 0 && opts->models > 0 && opts->devices > 0 && opts->interval_ms > 0 &&
          opts->publish_interval > 0;
 }
 
@@ -138,26 +135,15 @@ void DriveCampaign(easeml::core::MultiTenantSelector* selector, int devices,
 void RenderFrame(const easeml::obs::FleetObserver& observer,
                  const easeml::obs::Registry& registry,
                  const TopOptions& opts, bool clear_screen) {
-  const easeml::obs::FleetSnapshot snap = observer.plane().Snapshot();
+  const std::shared_ptr<const easeml::obs::FleetSnapshot> snap =
+      observer.plane().Snapshot();
   if (clear_screen) std::fputs("\x1b[2J\x1b[H", stdout);
-  std::printf("easeml_top — fleet epoch %llu, %d shard(s)\n",
-              static_cast<unsigned long long>(snap.epoch()),
-              static_cast<int>(snap.shards.size()));
-  std::printf("%5s %8s %8s %8s %8s %9s %8s %10s\n", "SHARD", "TENANTS",
-              "RETIRED", "SCHED", "UNINIT", "INFLIGHT", "ROUNDS", "EPOCH");
-  for (size_t s = 0; s < snap.shards.size(); ++s) {
-    const easeml::obs::ShardBlock& b = *snap.shards[s];
-    std::printf("%5zu %8lld %8lld %8lld %8lld %9lld %8lld %10llu\n", s,
-                static_cast<long long>(b.agg.tenants),
-                static_cast<long long>(b.agg.retired),
-                static_cast<long long>(b.agg.schedulable),
-                static_cast<long long>(b.agg.uninitialized),
-                static_cast<long long>(b.agg.in_flight),
-                static_cast<long long>(b.agg.rounds),
-                static_cast<unsigned long long>(b.epoch));
-  }
-  const easeml::obs::ShardAggregates total = snap.Totals();
-  std::printf("%5s %8lld %8lld %8lld %8lld %9lld %8lld\n", "TOTAL",
+  std::printf("easeml_top — fleet epoch %llu\n",
+              static_cast<unsigned long long>(snap->epoch));
+  std::printf("%8s %8s %8s %8s %9s %8s\n", "TENANTS", "RETIRED", "SCHED",
+              "UNINIT", "INFLIGHT", "ROUNDS");
+  const easeml::obs::FleetAggregates& total = snap->totals;
+  std::printf("%8lld %8lld %8lld %8lld %9lld %8lld\n",
               static_cast<long long>(total.tenants),
               static_cast<long long>(total.retired),
               static_cast<long long>(total.schedulable),
@@ -167,8 +153,7 @@ void RenderFrame(const easeml::obs::FleetObserver& observer,
 
   // Top schedulable tenants by line-8 gap — the "who trains next" view.
   std::vector<TenantObservation> top;
-  snap.ForEachTenant([&top](int shard, const TenantObservation& o) {
-    (void)shard;
+  snap->ForEachTenant([&top](const TenantObservation& o) {
     if (o.schedulable && !o.retired) top.push_back(o);
   });
   std::sort(top.begin(), top.end(),
@@ -201,8 +186,8 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &opts)) {
     std::fprintf(
         stderr,
-        "usage: easeml_top [--tenants=N] [--models=K] [--shards=N] "
-        "[--devices=D] [--scheduler=HYBRID|GREEDY|RR|RANDOM|FCFS] "
+        "usage: easeml_top [--tenants=N] [--models=K] [--devices=D] "
+        " [--scheduler=HYBRID|GREEDY|RR|RANDOM|FCFS] "
         "[--interval-ms=MS] [--publish-interval=N] [--once] "
         "[--export=text|json]\n");
     return 1;
@@ -214,7 +199,6 @@ int main(int argc, char** argv) {
                  opts.scheduler.c_str());
     return 1;
   }
-  selector_options.num_shards = opts.shards;
   selector_options.num_devices = opts.devices;
   selector_options.use_candidate_index = true;
 
@@ -253,10 +237,7 @@ int main(int argc, char** argv) {
 
   if (opts.once) {
     driver.join();
-    // Quiesce before flushing: the sharded engine's folds can outlive the
-    // driver's last Report, and ValidateIndex drains them under the lock.
-    (void)selector->ValidateIndex();
-    observed->observer->plane().FlushAll();
+    observed->observer->plane().Flush();
     RenderFrame(*observed->observer, registry, opts, /*clear_screen=*/false);
     return failed.load() ? 1 : 0;
   }
@@ -271,8 +252,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.interval_ms));
   }
   waiter.join();
-  (void)selector->ValidateIndex();  // drain outstanding folds (see --once)
-  observed->observer->plane().FlushAll();
+  observed->observer->plane().Flush();
   RenderFrame(*observed->observer, registry, opts, /*clear_screen=*/true);
   return failed.load() ? 1 : 0;
 }
