@@ -151,6 +151,9 @@ struct ServeArm {
 std::vector<Cell> RunServeCampaigns(int tenants,
                                     const std::vector<WalArm>& arms) {
   easeml::wal::FileSystem* fs = easeml::wal::GetPosixFileSystem();
+  // The arm directories live under the bench directory, which a fresh host
+  // does not have yet.
+  EASEML_CHECK(fs->CreateDir(kBenchDir).ok());
   std::vector<ServeArm> live;
   for (size_t i = 0; i < arms.size(); ++i) {
     ServeArm arm;

@@ -600,15 +600,6 @@ Result<std::unique_ptr<gp::SharedPriorGp>> RebuildBelief(
     const std::shared_ptr<const gp::SharedGpPrior>& prior) {
   EASEML_ASSIGN_OR_RETURN(std::unique_ptr<gp::SharedPriorGp> belief,
                           gp::SharedPriorGp::CreateUnique(prior));
-  // Prime the marginal caches at t = 0 BEFORE replaying the history. A
-  // live engine always queries at selection time before it observes, so
-  // its caches only ever advance along the incremental forward-
-  // substitution path; the batched from-scratch rebuild is a different
-  // floating-point path (agrees to ~1e-9, not bitwise). Building the
-  // empty summary now forces every later query onto the incremental path,
-  // making the restored belief's future UCBs bit-identical to an engine
-  // that never restored.
-  (void)belief->AllMarginals();
   if (d.arms.size() != d.rewards.size()) {
     return Status::DataLoss(
         "restore: belief history arms/rewards length mismatch");

@@ -33,8 +33,7 @@ struct PosteriorSummary {
 /// Protocol: `Observe(arm, y)` conditions on one noisy observation;
 /// marginals are read either per arm (`Mean`/`Variance`/`StdDev`) or for
 /// all K arms at once (`AllMarginals`, the batch entry point policies
-/// should prefer — one triangular multi-RHS solve instead of K scalar
-/// queries).
+/// should prefer — one pass over the arms instead of K scalar queries).
 class ArmBelief {
  public:
   virtual ~ArmBelief() = default;

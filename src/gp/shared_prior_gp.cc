@@ -14,17 +14,27 @@ Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
   if (gram.rows() != gram.cols() || gram.rows() == 0) {
     return Status::InvalidArgument("SharedGpPrior: gram must be square");
   }
+  for (double v : gram.data()) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("SharedGpPrior: non-finite gram entry");
+    }
+  }
   if (!gram.IsSymmetric(1e-9)) {
     return Status::InvalidArgument("SharedGpPrior: gram not symmetric");
   }
-  if (!(noise_variance > 0.0)) {  // negated so NaN is rejected too
+  if (!(noise_variance > 0.0) || !std::isfinite(noise_variance)) {
     return Status::InvalidArgument(
-        "SharedGpPrior: noise variance must be > 0");
+        "SharedGpPrior: noise variance must be finite and > 0");
   }
   const int k = gram.rows();
   if (mean.empty()) mean.assign(k, 0.0);
   if (static_cast<int>(mean.size()) != k) {
     return Status::InvalidArgument("SharedGpPrior: prior mean size mismatch");
+  }
+  for (double v : mean) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("SharedGpPrior: non-finite prior mean");
+    }
   }
   for (int i = 0; i < k; ++i) {
     if (gram(i, i) <= 0.0) {
@@ -70,8 +80,8 @@ Status SharedPriorGp::Observe(int arm, double y) {
   if (!appended.ok()) {
     // S_t + sigma^2 I is positive definite in exact arithmetic; an Append
     // failure is floating-point cancellation on a nearly redundant arm.
-    // Refactorize from scratch with escalating jitter, invalidating the
-    // incremental caches.
+    // Refactorize with escalating jitter; the next read restarts the
+    // marginals from the prior under the new factor.
     linalg::Matrix st(t + 1, t + 1);
     for (int i = 0; i < t; ++i) {
       for (int j = 0; j < t; ++j) st(i, j) = gram(arms_[i], arms_[j]);
@@ -107,50 +117,21 @@ void SharedPriorGp::Reset() {
   summary_rows_ = -1;
 }
 
-void SharedPriorGp::RebuildSummaryFromScratch() const {
-  const int k = num_arms();
-  const int t = num_observations();
-  summary_.mean = prior_->mean;
-  summary_.variance.resize(k);
-  var_reduction_.assign(k, 0.0);
-  for (int i = 0; i < k; ++i) summary_.variance[i] = prior_->gram(i, i);
-  v_.clear();
-  w_.clear();
-  if (t > 0) {
-    // One batched multi-RHS triangular solve covers every arm: V = L^{-1} B
-    // with B the prior rows at the observed arms.
-    const linalg::Matrix big_b = prior_->gram.GatherRows(arms_);
-    const linalg::Matrix big_v = chol_.SolveLower(big_b);
-    v_ = big_v.data();
-    std::vector<double> rhs(t);
-    for (int i = 0; i < t; ++i) rhs[i] = ys_[i] - prior_->mean[arms_[i]];
-    w_ = chol_.SolveLower(rhs);
-    for (int i = 0; i < t; ++i) {
-      const double* row = v_.data() + static_cast<size_t>(i) * k;
-      for (int j = 0; j < k; ++j) {
-        summary_.mean[j] += row[j] * w_[i];
-        var_reduction_[j] += row[j] * row[j];
-      }
-    }
-    for (int j = 0; j < k; ++j) {
-      summary_.variance[j] =
-          std::max(0.0, prior_->gram(j, j) - var_reduction_[j]);
-    }
-  }
-  summary_rows_ = t;
-}
-
 void SharedPriorGp::EnsureSummary() const {
   const int t = num_observations();
   if (summary_rows_ == t) return;
+  const int k = num_arms();
+  const linalg::Matrix& gram = prior_->gram;
   if (summary_rows_ < 0) {
-    RebuildSummaryFromScratch();
-    return;
+    // Start from the prior (no rows folded) and roll every row forward.
+    summary_.mean = prior_->mean;
+    summary_.variance.resize(k);
+    for (int c = 0; c < k; ++c) summary_.variance[c] = gram(c, c);
+    var_reduction_.assign(k, 0.0);
+    summary_rows_ = 0;
   }
   // Continue the forward substitution one observation at a time: row r of
   // V and w follows from rows 0..r-1 and row r of L in O(rK).
-  const int k = num_arms();
-  const linalg::Matrix& gram = prior_->gram;
   v_.resize(static_cast<size_t>(t) * k);
   w_.resize(t);
   for (int r = summary_rows_; r < t; ++r) {

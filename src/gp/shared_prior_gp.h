@@ -29,9 +29,9 @@ struct SharedGpPrior {
   }
 };
 
-/// Validates and wraps a prior for sharing. `gram` must be symmetric K x K
-/// with strictly positive diagonal, `noise_variance` strictly positive;
-/// `mean` defaults to zero.
+/// Validates and wraps a prior for sharing. Every value must be finite;
+/// `gram` must be symmetric K x K with strictly positive diagonal,
+/// `noise_variance` strictly positive; `mean` defaults to zero.
 Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
     linalg::Matrix gram, double noise_variance,
     std::vector<double> mean = {});
@@ -44,7 +44,7 @@ Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
 /// never a K x K matrix. Posterior marginals over all K arms follow from
 /// the prior rows at the observed arms, B(i, k) = S(a_i, k):
 ///
-///   V = L^{-1} B                      (t x K, one multi-RHS solve)
+///   V = L^{-1} B                      (t x K, forward substitution)
 ///   w = L^{-1} (y - m(a))            (t)
 ///   mu(k)      = m(k) + V(:,k) . w
 ///   sigma2(k)  = S(k,k) - |V(:,k)|^2   (clamped at 0)
@@ -54,7 +54,10 @@ Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
 /// `DiscreteArmGp::BatchPosterior` to 1e-9). The caches are maintained
 /// lazily: `Observe` appends to L in O(t^2) and defers the marginal
 /// refresh; the first marginal read catches V/w/summary up, one O(tK) row
-/// per deferred observation (or one batched multi-RHS solve from scratch).
+/// per deferred observation. A fresh, `Reset` or refactorized belief
+/// starts from the prior and rolls every row forward the same way, so the
+/// marginals are bit-identical however the reads interleave with the
+/// observations.
 class SharedPriorGp : public ArmBelief {
  public:
   /// `prior` must be non-null (as produced by `MakeSharedGpPrior`).
@@ -99,7 +102,6 @@ class SharedPriorGp : public ArmBelief {
 
   /// Brings the marginal caches up to date with the observation history.
   void EnsureSummary() const;
-  void RebuildSummaryFromScratch() const;
 
   std::shared_ptr<const SharedGpPrior> prior_;
   std::vector<int> arms_;
@@ -107,7 +109,7 @@ class SharedPriorGp : public ArmBelief {
   linalg::Cholesky chol_;  // L with L L^T = S_t + sigma^2 I
 
   // Lazy marginal caches; `summary_rows_` counts the observations already
-  // folded in (-1 = must rebuild from scratch).
+  // folded in (-1 = restart from the prior).
   mutable std::vector<double> v_;             // row-major t x K, V = L^{-1} B
   mutable std::vector<double> w_;             // L^{-1} (y - m(a))
   mutable std::vector<double> var_reduction_; // |V(:,k)|^2 per arm, unclamped

@@ -22,7 +22,7 @@ Result<Cholesky> Cholesky::Compute(const Matrix& a, double jitter) {
         sum -= chol.l_[Index(i, k)] * chol.l_[Index(j, k)];
       }
       if (i == j) {
-        if (sum <= 0.0) {
+        if (!(sum > 0.0)) {  // negated so NaN is rejected too
           return Status::InvalidArgument(
               "Cholesky: matrix not positive definite at pivot " +
               std::to_string(i));
@@ -44,7 +44,7 @@ Status Cholesky::Append(const std::vector<double>& b, double d) {
   std::vector<double> l = SolveLower(b);
   double pivot = d;
   for (double v : l) pivot -= v * v;
-  if (pivot <= 0.0) {
+  if (!(pivot > 0.0)) {  // negated so NaN is rejected too
     return Status::InvalidArgument(
         "Cholesky::Append: extension not positive definite");
   }
@@ -80,42 +80,6 @@ std::vector<double> Cholesky::Solve(const std::vector<double>& rhs) const {
   return SolveUpper(SolveLower(rhs));
 }
 
-Matrix Cholesky::SolveLower(const Matrix& rhs) const {
-  EASEML_CHECK(rhs.rows() == dim_);
-  const int m = rhs.cols();
-  Matrix y = rhs;
-  for (int i = 0; i < dim_; ++i) {
-    for (int j = 0; j < i; ++j) {
-      const double lij = l_[Index(i, j)];
-      if (lij == 0.0) continue;
-      for (int c = 0; c < m; ++c) y(i, c) -= lij * y(j, c);
-    }
-    const double inv = 1.0 / l_[Index(i, i)];
-    for (int c = 0; c < m; ++c) y(i, c) *= inv;
-  }
-  return y;
-}
-
-Matrix Cholesky::SolveLowerTranspose(const Matrix& rhs) const {
-  EASEML_CHECK(rhs.rows() == dim_);
-  const int m = rhs.cols();
-  Matrix x = rhs;
-  for (int i = dim_ - 1; i >= 0; --i) {
-    for (int j = i + 1; j < dim_; ++j) {
-      const double lji = l_[Index(j, i)];
-      if (lji == 0.0) continue;
-      for (int c = 0; c < m; ++c) x(i, c) -= lji * x(j, c);
-    }
-    const double inv = 1.0 / l_[Index(i, i)];
-    for (int c = 0; c < m; ++c) x(i, c) *= inv;
-  }
-  return x;
-}
-
-Matrix Cholesky::Solve(const Matrix& rhs) const {
-  return SolveLowerTranspose(SolveLower(rhs));
-}
-
 double Cholesky::LogDet() const {
   double acc = 0.0;
   for (int i = 0; i < dim_; ++i) acc += std::log(l_[Index(i, i)]);
@@ -135,16 +99,6 @@ Matrix Cholesky::Reconstruct() const {
     }
   }
   return a;
-}
-
-Result<std::vector<double>> SolveSpd(const Matrix& a,
-                                     const std::vector<double>& b,
-                                     double jitter) {
-  EASEML_ASSIGN_OR_RETURN(Cholesky chol, Cholesky::Compute(a, jitter));
-  if (static_cast<int>(b.size()) != a.rows()) {
-    return Status::InvalidArgument("SolveSpd: rhs length mismatch");
-  }
-  return chol.Solve(b);
 }
 
 }  // namespace easeml::linalg

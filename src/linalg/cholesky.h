@@ -41,17 +41,6 @@ class Cholesky {
   /// Solves L^T x = rhs (backward substitution).
   std::vector<double> SolveUpper(const std::vector<double>& rhs) const;
 
-  /// Multi-RHS forward substitution: solves L Y = RHS for a dim() x m
-  /// right-hand-side matrix (each column an independent system). One pass
-  /// over L serves all m systems, vectorizing across the row.
-  Matrix SolveLower(const Matrix& rhs) const;
-
-  /// Multi-RHS backward substitution: solves L^T X = RHS (dim() x m).
-  Matrix SolveLowerTranspose(const Matrix& rhs) const;
-
-  /// Multi-RHS SPD solve: A X = RHS where A = L L^T.
-  Matrix Solve(const Matrix& rhs) const;
-
   /// Solves A x = rhs where A = L L^T.
   std::vector<double> Solve(const std::vector<double>& rhs) const;
 
@@ -70,12 +59,6 @@ class Cholesky {
   int dim_ = 0;
   std::vector<double> l_;  // packed rows of the lower triangle
 };
-
-/// Solves the linear system A x = b for symmetric positive-definite A via
-/// Cholesky. Convenience wrapper for one-shot solves.
-Result<std::vector<double>> SolveSpd(const Matrix& a,
-                                     const std::vector<double>& b,
-                                     double jitter = 0.0);
 
 }  // namespace easeml::linalg
 

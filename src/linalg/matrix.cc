@@ -54,89 +54,6 @@ std::vector<double> Matrix::Col(int c) const {
   return out;
 }
 
-Matrix Matrix::GatherRows(const std::vector<int>& rows) const {
-  Matrix out(static_cast<int>(rows.size()), cols_);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const int r = rows[i];
-    EASEML_DCHECK(r >= 0 && r < rows_);
-    std::copy(data_.begin() + static_cast<size_t>(r) * cols_,
-              data_.begin() + static_cast<size_t>(r + 1) * cols_,
-              out.data_.begin() + i * cols_);
-  }
-  return out;
-}
-
-Matrix Matrix::GatherCols(const std::vector<int>& cols) const {
-  Matrix out(rows_, static_cast<int>(cols.size()));
-  for (int r = 0; r < rows_; ++r) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      const int c = cols[j];
-      EASEML_DCHECK(c >= 0 && c < cols_);
-      out(r, static_cast<int>(j)) = (*this)(r, c);
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::Add(const Matrix& other) const {
-  EASEML_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = data_[i] + other.data_[i];
-  }
-  return out;
-}
-
-Matrix Matrix::Sub(const Matrix& other) const {
-  EASEML_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = data_[i] - other.data_[i];
-  }
-  return out;
-}
-
-Matrix Matrix::Scale(double s) const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * s;
-  return out;
-}
-
-Matrix Matrix::MatMul(const Matrix& other) const {
-  EASEML_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  // i-k-j loop order: streams over contiguous rows of both operands.
-  for (int i = 0; i < rows_; ++i) {
-    for (int k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (int j = 0; j < other.cols_; ++j) {
-        out(i, j) += aik * other(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::MatVec(const std::vector<double>& v) const {
-  EASEML_CHECK(static_cast<int>(v.size()) == cols_);
-  std::vector<double> out(rows_, 0.0);
-  for (int i = 0; i < rows_; ++i) {
-    double acc = 0.0;
-    for (int j = 0; j < cols_; ++j) acc += (*this)(i, j) * v[j];
-    out[i] = acc;
-  }
-  return out;
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix out(cols_, rows_);
-  for (int i = 0; i < rows_; ++i) {
-    for (int j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  }
-  return out;
-}
-
 void Matrix::AddToDiagonal(double v) {
   EASEML_CHECK(rows_ == cols_);
   for (int i = 0; i < rows_; ++i) (*this)(i, i) += v;

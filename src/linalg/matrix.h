@@ -12,9 +12,8 @@ namespace easeml::linalg {
 /// Dense row-major matrix of doubles.
 ///
 /// Sized for the model-selection workload: covariance matrices over at most a
-/// few hundred arms. Operations are straightforward O(n^3) kernels; no
-/// blocking or SIMD beyond what the compiler auto-vectorizes, which is ample
-/// at this scale.
+/// few hundred arms. The factorization and solves live in `Cholesky`; this
+/// class is storage plus the few whole-matrix helpers its callers use.
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -41,39 +40,12 @@ class Matrix {
   double operator()(int r, int c) const { return data_[r * cols_ + c]; }
 
   const std::vector<double>& data() const { return data_; }
-  std::vector<double>& mutable_data() { return data_; }
 
   /// Returns the r-th row as a vector.
   std::vector<double> Row(int r) const;
 
   /// Returns the c-th column as a vector.
   std::vector<double> Col(int c) const;
-
-  /// Gathers the given rows (with multiplicity, any order) into a new
-  /// rows.size() x cols() matrix. Precondition: indices in [0, rows()).
-  Matrix GatherRows(const std::vector<int>& rows) const;
-
-  /// Gathers the given columns into a new rows() x cols.size() matrix.
-  /// Precondition: indices in [0, cols()).
-  Matrix GatherCols(const std::vector<int>& cols) const;
-
-  /// this + other. Precondition: same shape.
-  Matrix Add(const Matrix& other) const;
-
-  /// this - other. Precondition: same shape.
-  Matrix Sub(const Matrix& other) const;
-
-  /// Scalar multiple.
-  Matrix Scale(double s) const;
-
-  /// Matrix product this * other. Precondition: cols() == other.rows().
-  Matrix MatMul(const Matrix& other) const;
-
-  /// Matrix-vector product. Precondition: v.size() == cols().
-  std::vector<double> MatVec(const std::vector<double>& v) const;
-
-  /// Transpose.
-  Matrix Transpose() const;
 
   /// Adds `v` to every diagonal entry (in place). Precondition: square.
   void AddToDiagonal(double v);

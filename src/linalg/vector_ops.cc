@@ -1,7 +1,5 @@
 #include "linalg/vector_ops.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace easeml::linalg {
@@ -13,8 +11,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   return acc;
 }
 
-double Norm2(const std::vector<double>& v) { return std::sqrt(Dot(v, v)); }
-
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b) {
   EASEML_DCHECK(a.size() == b.size());
@@ -24,51 +20,6 @@ double SquaredDistance(const std::vector<double>& a,
     acc += d * d;
   }
   return acc;
-}
-
-std::vector<double> AddVec(const std::vector<double>& a,
-                           const std::vector<double>& b) {
-  EASEML_DCHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-std::vector<double> SubVec(const std::vector<double>& a,
-                           const std::vector<double>& b) {
-  EASEML_DCHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-std::vector<double> ScaleVec(const std::vector<double>& v, double s) {
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = v[i] * s;
-  return out;
-}
-
-void Axpy(double s, const std::vector<double>& b, std::vector<double>& a) {
-  EASEML_DCHECK(a.size() == b.size());
-  for (size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
-
-int ArgMax(const std::vector<double>& v) {
-  if (v.empty()) return -1;
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(v.size()); ++i) {
-    if (v[i] > v[best]) best = i;
-  }
-  return best;
-}
-
-int ArgMin(const std::vector<double>& v) {
-  if (v.empty()) return -1;
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(v.size()); ++i) {
-    if (v[i] < v[best]) best = i;
-  }
-  return best;
 }
 
 }  // namespace easeml::linalg

@@ -8,33 +8,9 @@ namespace easeml::linalg {
 /// Inner product. Precondition: equal lengths.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Euclidean norm.
-double Norm2(const std::vector<double>& v);
-
 /// Squared Euclidean distance between two vectors of equal length.
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b);
-
-/// a + b elementwise. Precondition: equal lengths.
-std::vector<double> AddVec(const std::vector<double>& a,
-                           const std::vector<double>& b);
-
-/// a - b elementwise. Precondition: equal lengths.
-std::vector<double> SubVec(const std::vector<double>& a,
-                           const std::vector<double>& b);
-
-/// s * v elementwise.
-std::vector<double> ScaleVec(const std::vector<double>& v, double s);
-
-/// In-place a += s * b (axpy). Precondition: equal lengths.
-void Axpy(double s, const std::vector<double>& b, std::vector<double>& a);
-
-/// Index of the maximum element; -1 for empty input. Ties break to the
-/// lowest index (deterministic arm selection).
-int ArgMax(const std::vector<double>& v);
-
-/// Index of the minimum element; -1 for empty input.
-int ArgMin(const std::vector<double>& v);
 
 }  // namespace easeml::linalg
 

@@ -117,7 +117,8 @@ TEST(GpUcbTest, ExpensiveArmStillWinsWithEnoughPotential) {
   // tight (small prior variance), so even sqrt(beta/c) cannot flip it —
   // "if it has very large potential reward, even an expensive arm is worth
   // a bet" (Section 3.2).
-  auto cov = linalg::Matrix::Identity(2).Scale(0.01);
+  linalg::Matrix cov(2, 2);
+  cov.AddToDiagonal(0.01);
   auto belief = gp::DiscreteArmGp::Create(cov, 0.001, {0.1, 0.95});
   ASSERT_TRUE(belief.ok());
   GpUcbOptions opts;

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "gp/gaussian_process.h"
+#include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 
 namespace easeml::gp {
@@ -70,6 +74,27 @@ TEST(SharedGpPriorTest, MakeValidates) {
   EXPECT_FALSE(MakeSharedGpPrior(linalg::Matrix(2, 2), 0.1).ok());  // 0 diag
   EXPECT_TRUE(MakeSharedGpPrior(linalg::Matrix::Identity(2), 0.1).ok());
   EXPECT_FALSE(SharedPriorGp::Create(nullptr).ok());
+}
+
+TEST(SharedGpPriorTest, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejected = [](linalg::Matrix gram, double noise,
+                     std::vector<double> mean) {
+    return MakeSharedGpPrior(std::move(gram), noise, std::move(mean))
+               .status()
+               .code() == StatusCode::kInvalidArgument;
+  };
+  // A NaN pair passes the symmetry check (every comparison is false).
+  auto nan_pair = linalg::Matrix::Identity(3);
+  nan_pair(0, 1) = nan_pair(1, 0) = nan;
+  EXPECT_TRUE(rejected(nan_pair, 0.1, {}));
+  auto inf_diag = linalg::Matrix::Identity(3);
+  inf_diag(2, 2) = inf;
+  EXPECT_TRUE(rejected(inf_diag, 0.1, {}));
+  EXPECT_TRUE(rejected(linalg::Matrix::Identity(3), 0.1, {0.5, inf, 0.5}));
+  EXPECT_TRUE(rejected(linalg::Matrix::Identity(3), 0.1, {0.5, 0.5, nan}));
+  EXPECT_TRUE(rejected(linalg::Matrix::Identity(3), inf, {}));
 }
 
 TEST(SharedPriorGpTest, PriorMarginalsBeforeObservations) {
@@ -147,43 +172,101 @@ TEST(SharedPriorGpTest, MarginalsMatchDenseAndBatchOnRandomCampaigns) {
   }
 }
 
-/// Deferred reads must agree with read-after-every-step: the lazy catch-up
-/// path (several pending rows) and the from-scratch batched multi-RHS path
-/// are both pinned against the incremental one.
-TEST(SharedPriorGpTest, LazyCatchUpAndScratchRebuildAgree) {
+/// Bitwise equality of two marginal vectors (memcmp, so a last-bit
+/// difference or a NaN fails).
+void ExpectBitIdentical(const std::vector<double>& a,
+                        const std::vector<double>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+/// The marginals are computed one way only, so when a belief is read does
+/// not change a single bit: eager (read before the first observe and after
+/// every one, as a live engine does), lazy (read once mid-stream, then
+/// catch several rows up) and unread (first read at the end, as after a
+/// restore) beliefs agree bitwise.
+TEST(SharedPriorGpTest, EagerLazyAndUnreadBeliefsAgreeBitwise) {
   easeml::Rng rng(6);
   const int k = 9;
   auto gram = RandomGram(k, rng);
-  auto prior = MakePrior(gram, 1e-3);
-  auto eager = SharedPriorGp::Create(prior);   // reads after every observe
-  auto lazy = SharedPriorGp::Create(prior);    // reads only at the end
+  auto prior = MakePrior(gram, 1e-3, RandomMean(k, rng));
+  auto eager = SharedPriorGp::Create(prior);
+  auto lazy = SharedPriorGp::Create(prior);
+  auto unread = SharedPriorGp::Create(prior);
   ASSERT_TRUE(eager.ok());
   ASSERT_TRUE(lazy.ok());
-  auto scratch = SharedPriorGp::Create(prior);  // fresh, never read early
-  ASSERT_TRUE(scratch.ok());
+  ASSERT_TRUE(unread.ok());
 
+  (void)eager->AllMarginals();
   std::vector<int> order = rng.SampleWithoutReplacement(k, k);
   int step = 0;
   for (int arm : order) {
     const double y = rng.Uniform();
     ASSERT_TRUE(eager->Observe(arm, y).ok());
     ASSERT_TRUE(lazy->Observe(arm, y).ok());
-    ASSERT_TRUE(scratch->Observe(arm, y).ok());
-    (void)eager->AllMarginals();  // materialize each step
-    // `lazy` materializes once mid-stream, so its final read exercises the
-    // multi-row catch-up path; `scratch` reads only at the end (batched
-    // multi-RHS rebuild).
+    ASSERT_TRUE(unread->Observe(arm, y).ok());
+    (void)eager->AllMarginals();
     if (++step == 3) (void)lazy->AllMarginals();
   }
   const PosteriorSummary a = eager->AllMarginals();
   const PosteriorSummary b = lazy->AllMarginals();
-  const PosteriorSummary c = scratch->AllMarginals();
-  for (int i = 0; i < k; ++i) {
-    EXPECT_NEAR(a.mean[i], b.mean[i], kTol);
-    EXPECT_NEAR(a.variance[i], b.variance[i], kTol);
-    EXPECT_NEAR(a.mean[i], c.mean[i], kTol);
-    EXPECT_NEAR(a.variance[i], c.variance[i], kTol);
+  const PosteriorSummary c = unread->AllMarginals();
+  ExpectBitIdentical(a.mean, b.mean, "lazy mean");
+  ExpectBitIdentical(a.variance, b.variance, "lazy variance");
+  ExpectBitIdentical(a.mean, c.mean, "unread mean");
+  ExpectBitIdentical(a.variance, c.variance, "unread variance");
+}
+
+/// Arms 0 and 1 are identical and the noise is below double precision
+/// relative to the prior variance, so re-observing arm 0 makes the
+/// Cholesky append's pivot cancel to 0. `Observe` must fall back to the
+/// jittered refactorization, restart the marginals from the prior, and
+/// keep agreeing with the dense belief on every later step. (Repeats carry
+/// the same reward: at this noise the dense belief's own update is only
+/// well conditioned for a zero innovation.) The jitter moves the marginals
+/// by ~1e-12 only, so the restart is pinned bitwise against a belief that
+/// is read once, at the end.
+TEST(SharedPriorGpTest, JitterRefactorizationKeepsMarginalsExact) {
+  auto gram = *linalg::Matrix::FromRowMajor(
+      3, 3, {1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 0.5, 0.5, 1.0});
+  const double noise = 1e-20;
+  const std::vector<double> mean = {0.5, 0.5, 0.6};
+  auto prior = MakePrior(gram, noise, mean);
+  auto shared = SharedPriorGp::Create(prior);
+  ASSERT_TRUE(shared.ok());
+  auto unread = SharedPriorGp::Create(prior);
+  ASSERT_TRUE(unread.ok());
+  auto dense = DiscreteArmGp::Create(gram, noise, mean);
+  ASSERT_TRUE(dense.ok());
+
+  // The plain append of the second observation of arm 0 fails.
+  linalg::Cholesky plain;
+  ASSERT_TRUE(plain.Append({}, gram(0, 0) + noise).ok());
+  ASSERT_FALSE(plain.Append({gram(0, 0)}, gram(0, 0) + noise).ok());
+
+  const std::vector<std::pair<int, double>> steps = {
+      {0, 0.8}, {2, 0.3}, {0, 0.8}, {1, 0.8}};
+  int t = 0;
+  for (const auto& [arm, y] : steps) {
+    ASSERT_TRUE(shared->Observe(arm, y).ok()) << "t=" << t;
+    ASSERT_TRUE(unread->Observe(arm, y).ok());
+    ASSERT_TRUE(dense->Observe(arm, y).ok());
+    ++t;
+    const PosteriorSummary s = shared->AllMarginals();
+    for (int a = 0; a < 3; ++a) {
+      EXPECT_NEAR(s.mean[a], dense->Mean(a), kTol) << "t=" << t << " a=" << a;
+      EXPECT_NEAR(s.variance[a], dense->Variance(a), kTol)
+          << "t=" << t << " a=" << a;
+    }
   }
+  EXPECT_EQ(shared->num_observations(), 4);
+  // Only the jittered factor has L(0, 0) != sqrt(1 + 1e-20) == 1.
+  EXPECT_GT(shared->factor().At(0, 0), 1.0);
+  const PosteriorSummary a = shared->AllMarginals();
+  const PosteriorSummary b = unread->AllMarginals();
+  ExpectBitIdentical(a.mean, b.mean, "mean");
+  ExpectBitIdentical(a.variance, b.variance, "variance");
 }
 
 /// Nearly redundant arms with tiny noise: posterior variances collapse to

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,7 +18,12 @@ Matrix RandomSpd(int n, easeml::Rng& rng) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) b(i, j) = rng.Normal();
   }
-  Matrix a = b.MatMul(b.Transpose());
+  Matrix a(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) a(i, j) += b(i, k) * b(j, k);
+    }
+  }
   a.AddToDiagonal(static_cast<double>(n));
   return a;
 }
@@ -42,41 +48,6 @@ TEST(CholeskyTest, ReconstructRoundTrips) {
   }
 }
 
-TEST(CholeskyTest, MultiRhsSolveLowerMatchesColumnwise) {
-  easeml::Rng rng(7);
-  for (int n : {1, 3, 8}) {
-    Matrix a = RandomSpd(n, rng);
-    auto chol = Cholesky::Compute(a);
-    ASSERT_TRUE(chol.ok());
-    const int m = 5;
-    Matrix rhs(n, m);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < m; ++j) rhs(i, j) = rng.Normal();
-    }
-    const Matrix y = chol->SolveLower(rhs);
-    const Matrix x = chol->SolveLowerTranspose(rhs);
-    for (int j = 0; j < m; ++j) {
-      const std::vector<double> y_col = chol->SolveLower(rhs.Col(j));
-      const std::vector<double> x_col = chol->SolveUpper(rhs.Col(j));
-      for (int i = 0; i < n; ++i) {
-        EXPECT_NEAR(y(i, j), y_col[i], 1e-12) << "n=" << n;
-        EXPECT_NEAR(x(i, j), x_col[i], 1e-12) << "n=" << n;
-      }
-    }
-  }
-}
-
-TEST(CholeskyTest, MultiRhsFullSolveInvertsMatrix) {
-  easeml::Rng rng(11);
-  const int n = 6;
-  Matrix a = RandomSpd(n, rng);
-  auto chol = Cholesky::Compute(a);
-  ASSERT_TRUE(chol.ok());
-  // Solving A X = A must give the identity.
-  const Matrix x = chol->Solve(a);
-  EXPECT_LT(x.MaxAbsDiff(Matrix::Identity(n)), 1e-9);
-}
-
 TEST(CholeskyTest, RejectsNonSquare) {
   EXPECT_FALSE(Cholesky::Compute(Matrix(2, 3)).ok());
 }
@@ -85,6 +56,11 @@ TEST(CholeskyTest, RejectsNonPositiveDefinite) {
   Matrix a = *Matrix::FromRowMajor(2, 2, {1, 2, 2, 1});  // eigenvalue -1
   EXPECT_FALSE(Cholesky::Compute(a).ok());
   EXPECT_FALSE(Cholesky::Compute(Matrix(3, 3)).ok());  // all zeros
+  // A NaN off-diagonal entry makes the second pivot NaN, which a `<= 0`
+  // test would wave through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(
+      Cholesky::Compute(*Matrix::FromRowMajor(2, 2, {1, nan, nan, 1})).ok());
 }
 
 TEST(CholeskyTest, JitterRescuesSingularMatrix) {
@@ -98,7 +74,10 @@ TEST(CholeskyTest, SolveMatchesDirectComputation) {
   Matrix a = RandomSpd(6, rng);
   std::vector<double> x_true(6);
   for (auto& v : x_true) v = rng.Normal();
-  const std::vector<double> b = a.MatVec(x_true);
+  std::vector<double> b(6, 0.0);
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 6; ++j) b[i] += a(i, j) * x_true[j];
+  }
   auto chol = Cholesky::Compute(a);
   ASSERT_TRUE(chol.ok());
   const std::vector<double> x = chol->Solve(b);
@@ -154,16 +133,11 @@ TEST(CholeskyTest, AppendRejectsBadExtension) {
   EXPECT_FALSE(chol->Append({2.0}, 1.0).ok());
   // Wrong vector length.
   EXPECT_FALSE(chol->Append({1.0, 2.0}, 5.0).ok());
-}
-
-TEST(SolveSpdTest, SolvesAndValidates) {
-  Matrix a = *Matrix::FromRowMajor(2, 2, {4, 2, 2, 3});
-  auto x = SolveSpd(a, {10, 8});
-  ASSERT_TRUE(x.ok());
-  // 4x + 2y = 10, 2x + 3y = 8 -> x = 1.75, y = 1.5.
-  EXPECT_NEAR((*x)[0], 1.75, 1e-12);
-  EXPECT_NEAR((*x)[1], 1.5, 1e-12);
-  EXPECT_FALSE(SolveSpd(a, {1.0}).ok());  // wrong rhs length
+  // A NaN pivot is rejected and leaves the factor untouched.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(chol->Append({nan}, 1.0).ok());
+  EXPECT_FALSE(chol->Append({0.5}, nan).ok());
+  EXPECT_EQ(chol->dim(), 1);
 }
 
 }  // namespace

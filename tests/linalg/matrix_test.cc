@@ -55,64 +55,6 @@ TEST(MatrixTest, RowAndCol) {
   EXPECT_EQ(m.Col(2), (std::vector<double>{3, 6}));
 }
 
-TEST(MatrixTest, GatherRowsWithRepeatsAndReorder) {
-  Matrix m = *Matrix::FromRowMajor(3, 2, {1, 2, 3, 4, 5, 6});
-  const Matrix g = m.GatherRows({2, 0, 2});
-  EXPECT_EQ(g.rows(), 3);
-  EXPECT_EQ(g.cols(), 2);
-  EXPECT_EQ(g.Row(0), (std::vector<double>{5, 6}));
-  EXPECT_EQ(g.Row(1), (std::vector<double>{1, 2}));
-  EXPECT_EQ(g.Row(2), (std::vector<double>{5, 6}));
-  EXPECT_TRUE(m.GatherRows({}).empty());
-}
-
-TEST(MatrixTest, GatherColsWithRepeatsAndReorder) {
-  Matrix m = *Matrix::FromRowMajor(2, 3, {1, 2, 3, 4, 5, 6});
-  const Matrix g = m.GatherCols({1, 1, 0});
-  EXPECT_EQ(g.rows(), 2);
-  EXPECT_EQ(g.cols(), 3);
-  EXPECT_EQ(g.Row(0), (std::vector<double>{2, 2, 1}));
-  EXPECT_EQ(g.Row(1), (std::vector<double>{5, 5, 4}));
-}
-
-TEST(MatrixTest, AddSubScale) {
-  Matrix a = *Matrix::FromRowMajor(2, 2, {1, 2, 3, 4});
-  Matrix b = *Matrix::FromRowMajor(2, 2, {4, 3, 2, 1});
-  EXPECT_DOUBLE_EQ(a.Add(b)(0, 0), 5);
-  EXPECT_DOUBLE_EQ(a.Sub(b)(1, 1), 3);
-  EXPECT_DOUBLE_EQ(a.Scale(2.0)(1, 0), 6);
-}
-
-TEST(MatrixTest, MatMulKnownProduct) {
-  Matrix a = *Matrix::FromRowMajor(2, 3, {1, 2, 3, 4, 5, 6});
-  Matrix b = *Matrix::FromRowMajor(3, 2, {7, 8, 9, 10, 11, 12});
-  Matrix c = a.MatMul(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 58);
-  EXPECT_DOUBLE_EQ(c(0, 1), 64);
-  EXPECT_DOUBLE_EQ(c(1, 0), 139);
-  EXPECT_DOUBLE_EQ(c(1, 1), 154);
-}
-
-TEST(MatrixTest, MatMulWithIdentityIsNoOp) {
-  Matrix a = *Matrix::FromRowMajor(2, 2, {1.5, -2, 0.25, 4});
-  Matrix c = a.MatMul(Matrix::Identity(2));
-  EXPECT_LT(a.MaxAbsDiff(c), 1e-15);
-}
-
-TEST(MatrixTest, MatVec) {
-  Matrix a = *Matrix::FromRowMajor(2, 3, {1, 0, 2, 0, 1, -1});
-  std::vector<double> v = {3, 4, 5};
-  std::vector<double> out = a.MatVec(v);
-  EXPECT_DOUBLE_EQ(out[0], 13);
-  EXPECT_DOUBLE_EQ(out[1], -1);
-}
-
-TEST(MatrixTest, TransposeTwiceIsIdentity) {
-  Matrix a = *Matrix::FromRowMajor(2, 3, {1, 2, 3, 4, 5, 6});
-  EXPECT_LT(a.MaxAbsDiff(a.Transpose().Transpose()), 1e-15);
-  EXPECT_DOUBLE_EQ(a.Transpose()(2, 1), 6);
-}
-
 TEST(MatrixTest, AddToDiagonal) {
   Matrix a(3, 3, 1.0);
   a.AddToDiagonal(0.5);

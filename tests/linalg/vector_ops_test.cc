@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace easeml::linalg {
@@ -13,39 +12,9 @@ TEST(VectorOpsTest, Dot) {
   EXPECT_DOUBLE_EQ(Dot({}, {}), 0.0);
 }
 
-TEST(VectorOpsTest, Norm2) {
-  EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(Norm2({}), 0.0);
-}
-
 TEST(VectorOpsTest, SquaredDistance) {
   EXPECT_DOUBLE_EQ(SquaredDistance({1, 1}, {4, 5}), 25.0);
   EXPECT_DOUBLE_EQ(SquaredDistance({2, 2}, {2, 2}), 0.0);
-}
-
-TEST(VectorOpsTest, AddSubScale) {
-  EXPECT_EQ(AddVec({1, 2}, {3, 4}), (std::vector<double>{4, 6}));
-  EXPECT_EQ(SubVec({1, 2}, {3, 4}), (std::vector<double>{-2, -2}));
-  EXPECT_EQ(ScaleVec({1, -2}, -2.0), (std::vector<double>{-2, 4}));
-}
-
-TEST(VectorOpsTest, Axpy) {
-  std::vector<double> a = {1, 2, 3};
-  Axpy(2.0, {1, 1, 1}, a);
-  EXPECT_EQ(a, (std::vector<double>{3, 4, 5}));
-}
-
-TEST(VectorOpsTest, ArgMaxBasics) {
-  EXPECT_EQ(ArgMax({1, 5, 3}), 1);
-  EXPECT_EQ(ArgMax({}), -1);
-  // Ties break to the lowest index (deterministic arm selection).
-  EXPECT_EQ(ArgMax({2, 7, 7, 1}), 1);
-}
-
-TEST(VectorOpsTest, ArgMinBasics) {
-  EXPECT_EQ(ArgMin({1, -5, 3}), 1);
-  EXPECT_EQ(ArgMin({}), -1);
-  EXPECT_EQ(ArgMin({2, 0, 0}), 1);
 }
 
 }  // namespace

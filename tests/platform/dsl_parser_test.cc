@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <string>
 
 namespace easeml::platform {
@@ -66,6 +67,10 @@ struct BadInput {
   const char* why;
 };
 
+// gtest's default printer would hex-dump the struct, pointer bytes
+// included, into the listed test name; the reason is stable.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.why; }
+
 class DslParserRejectionTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(DslParserRejectionTest, RejectsMalformedInput) {
@@ -97,8 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"{input: {[], []}, output: {[Tensor[3]], []}}",
                  "no fields on input"}),
     [](const ::testing::TestParamInfo<BadInput>& info) {
-      // Name tests after the rejection reason; the default printer would
-      // hex-dump the struct (pointers included), making names unstable.
+      // Name tests after the rejection reason.
       std::string name = info.param.why;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
