@@ -10,12 +10,18 @@
 /// the per-call cost of `Next()` and `Report()` separately, because the
 /// index deliberately moves work to the report path (the leaf refresh).
 ///
+/// HYBRID rows (engine `hybrid-index`) time the index engine in HYBRID's
+/// greedy phase, where every Report also runs the freeze detector's O(T)
+/// pass over the index keys. The patience is set past the campaign length
+/// so the detector never fires and the phase lasts the whole measurement.
+///
 /// Timing: CLOCK_THREAD_CPUTIME_ID around each call on the driving thread,
 /// which runs the whole engine — thread CPU clocks are not inflated by host
 /// oversubscription, unlike wall time on a one-core host.
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
+/// with <engine> one of scan, index (GREEDY) or hybrid-index.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -52,9 +58,12 @@ struct Cell {
   double report_us = 0.0;  // mean thread-CPU microseconds per Report()
 };
 
-Cell RunCampaign(int tenants, bool use_index) {
+Cell RunCampaign(int tenants, SchedulerKind scheduler, bool use_index) {
   SelectorOptions options;
-  options.scheduler = SchedulerKind::kGreedy;
+  options.scheduler = scheduler;
+  // HYBRID stays in its greedy phase: the freeze cannot fire before the
+  // campaign ends.
+  options.hybrid_patience = tenants + kMeasureSteps + 1;
   options.cost_aware = true;
   options.num_devices = 1;
   options.use_candidate_index = use_index;
@@ -105,19 +114,28 @@ int main() {
       "# Next() critical path: scan vs candidate index (GREEDY, K=%d, D=1, "
       "shared prior, %d steady-state steps, thread-CPU clocks)\n",
       kModels, kMeasureSteps);
-  std::printf("%8s %7s | %14s %14s | %13s\n", "tenants", "engine",
+  std::printf("%8s %12s | %14s %14s | %13s\n", "tenants", "engine",
               "next_us_mean", "report_us_mean", "next_speedup");
   for (int tenants : {1000, 10000, 100000}) {
     Cell scan;
     for (const bool use_index : {false, true}) {
-      const Cell cell = RunCampaign(tenants, use_index);
+      const Cell cell = RunCampaign(tenants, SchedulerKind::kGreedy, use_index);
       if (!use_index) scan = cell;
-      std::printf("%8d %7s | %14.3f %14.3f | %12.2fx\n", tenants,
+      std::printf("%8d %12s | %14.3f %14.3f | %12.2fx\n", tenants,
                   use_index ? "index" : "scan", cell.next_us, cell.report_us,
                   use_index ? scan.next_us / cell.next_us : 1.0);
       std::printf("NEXT_LATENCY,%d,%s,%.3f,%.3f\n", tenants,
                   use_index ? "index" : "scan", cell.next_us, cell.report_us);
     }
+  }
+  // HYBRID's greedy phase on the index engine: the same pick as GREEDY plus
+  // the freeze detector's pass over the index keys on every Report.
+  for (int tenants : {2000, 8000}) {
+    const Cell cell = RunCampaign(tenants, SchedulerKind::kHybrid, true);
+    std::printf("%8d %12s | %14.3f %14.3f |\n", tenants, "hybrid-index",
+                cell.next_us, cell.report_us);
+    std::printf("NEXT_LATENCY,%d,hybrid-index,%.3f,%.3f\n", tenants,
+                cell.next_us, cell.report_us);
   }
   return 0;
 }

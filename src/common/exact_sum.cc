@@ -1,6 +1,9 @@
 #include "common/exact_sum.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -8,6 +11,23 @@ namespace easeml {
 
 namespace {
 constexpr int64_t kChunkMask = 0xffffffffLL;  // low 32 bits
+
+/// Order-preserving bijection between the finite doubles (both zeros
+/// sharing key 0) and a contiguous integer range: adjacent doubles have
+/// adjacent keys, so a search over keys is a search over the double grid.
+int64_t OrderedKey(double x) {
+  int64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits < 0 ? -(bits & std::numeric_limits<int64_t>::max()) : bits;
+}
+
+double FromOrderedKey(int64_t key) {
+  const uint64_t bits = key < 0 ? (static_cast<uint64_t>(-key) | (1ULL << 63))
+                                : static_cast<uint64_t>(key);
+  double x = 0.0;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
 }  // namespace
 
 void ExactDoubleSum::AddProduct(double x, int64_t scale) {
@@ -95,6 +115,63 @@ int ExactDoubleSum::CompareScaled(double x, int64_t n) const {
   ExactDoubleSum diff = *this;  // one scratch copy; sign read in place
   diff.AddProduct(x, -n);       // diff = sum - x*n, exactly
   return -diff.SignInPlace();
+}
+
+double ExactDoubleSum::MeanCut(int64_t n) const {
+  EASEML_CHECK(n >= 1) << "ExactDoubleSum: MeanCut needs n >= 1";
+  constexpr double kMax = std::numeric_limits<double>::max();
+  // Keys are searched in 128-bit arithmetic: the finite range spans more
+  // than 2^64 keys' worth of differences.
+  const __int128 top = OrderedKey(kMax);
+  const __int128 bottom = -top;
+  const auto admits = [&](__int128 key) {
+    return CompareScaled(FromOrderedKey(static_cast<int64_t>(key)), n) >= 0;
+  };
+  // Value() is faithful and the division rounds once, so the estimate is
+  // within a few ulps of sum/n; it is clamped because the sum of n large
+  // doubles may overflow a double even though its mean does not.
+  const double estimate = std::clamp(Value() / static_cast<double>(n),
+                                     -kMax, kMax);
+  // Bracket the cut as fail < cut <= pass by galloping from the estimate
+  // (`fail` = bottom - 1 stands for "every finite double admits").
+  __int128 pass = 0;
+  __int128 fail = 0;
+  const __int128 start = OrderedKey(estimate);
+  if (admits(start)) {
+    pass = start;
+    for (__int128 step = 1;; step *= 2) {
+      if (pass == bottom) {
+        fail = bottom - 1;
+        break;
+      }
+      const __int128 probe = std::max(pass - step, bottom);
+      if (!admits(probe)) {
+        fail = probe;
+        break;
+      }
+      pass = probe;
+    }
+  } else {
+    fail = start;
+    for (__int128 step = 1;; step *= 2) {
+      if (fail == top) return std::numeric_limits<double>::infinity();
+      const __int128 probe = std::min(fail + step, top);
+      if (admits(probe)) {
+        pass = probe;
+        break;
+      }
+      fail = probe;
+    }
+  }
+  while (pass - fail > 1) {
+    const __int128 mid = fail + (pass - fail) / 2;
+    if (admits(mid)) {
+      pass = mid;
+    } else {
+      fail = mid;
+    }
+  }
+  return FromOrderedKey(static_cast<int64_t>(pass));
 }
 
 double ExactDoubleSum::Value() const {

@@ -45,6 +45,15 @@ class ExactDoubleSum {
   /// floating-point rounding anywhere.
   int CompareScaled(double x, int64_t n) const;
 
+  /// The cut of `CompareScaled(·, n) >= 0` on the double grid: the least
+  /// finite double c with c * n >= sum exactly, so for every finite x,
+  /// `x >= c` iff `CompareScaled(x, n) >= 0`. +inf when no finite double
+  /// clears the sum (impossible when the sum holds n finite doubles).
+  /// Derived from the `Value() / n` estimate with a few exact compares
+  /// (a gallop then bisection over the ordered doubles, so a poor estimate
+  /// costs O(64) compares, never more). Precondition: 1 <= n <= 2^31.
+  double MeanCut(int64_t n) const;
+
   /// Exact sign of the accumulated sum.
   int Sign() const;
 

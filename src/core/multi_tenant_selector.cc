@@ -508,7 +508,11 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
   FoldReportedOutcome(*issued, accuracy);
   double t2 = 0.0;
   if (obs != nullptr) t2 = ThreadCpuSeconds();
-  scheduler_->OnOutcome(users_, issued->tenant);
+  if (index_ != nullptr) {
+    scheduler_->OnOutcomeIndexed(users_, issued->tenant, *index_);
+  } else {
+    scheduler_->OnOutcome(users_, issued->tenant);
+  }
   ++round_;
   if (obs != nullptr) {
     const double t3 = ThreadCpuSeconds();

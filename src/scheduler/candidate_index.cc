@@ -109,18 +109,32 @@ CandidateIndex::IndexNode CandidateIndex::IndexNode::Merge(const IndexNode& a,
   return out;
 }
 
-bool CandidateIndex::Candidacy::Admits(double bound) const {
-  if (all_candidates) return true;
-  // BoundIsCandidate of the scan paths, verbatim: +inf always a candidate,
-  // NaN / -inf never, finite bounds by the exact scaled comparison.
-  if (!std::isfinite(bound)) return std::isinf(bound) && bound > 0.0;
-  return sum->CompareScaled(bound, finite_count) >= 0;
+namespace {
+
+/// Whether `key` contributes to the candidate threshold's exact sum.
+bool Counted(const CandidateIndex::TenantKey& key) {
+  return key.schedulable && std::isfinite(key.bound);
+}
+
+}  // namespace
+
+CandidateIndex::Candidacy CandidateIndex::CurrentCandidacy() const {
+  Candidacy candidacy;
+  candidacy.all_candidates = finite_count_ == 0;
+  if (candidacy.all_candidates) return candidacy;
+  if (!cut_cached_) {
+    cut_ = bound_sum_.MeanCut(finite_count_);
+    cut_cached_ = true;
+  }
+  candidacy.cut = cut_;
+  return candidacy;
 }
 
 void CandidateIndex::Count(const TenantKey& key, int sign) {
-  if (!key.schedulable || !std::isfinite(key.bound)) return;
+  if (!Counted(key)) return;
   bound_sum_.AddProduct(key.bound, sign);
   finite_count_ += sign;
+  cut_cached_ = false;
 }
 
 void CandidateIndex::AppendTenant(const UserState& user) {
@@ -138,9 +152,15 @@ void CandidateIndex::Refresh(const UserState& user) {
   const TenantKey fresh = DeriveKey(user);
   // Exact +/- deltas: ExactDoubleSum is integer arithmetic, so the
   // removal cancels the original addition bit-for-bit and the running
-  // sum always equals a fresh accumulation over the current members.
-  Count(keys_[id], -1);
-  Count(fresh, +1);
+  // sum always equals a fresh accumulation over the current members. An
+  // event that leaves the tenant's contribution as it was keeps the sum,
+  // and with it the cached cut.
+  const TenantKey& cached = keys_[id];
+  if (Counted(cached) != Counted(fresh) ||
+      (Counted(fresh) && !SameBits(cached.bound, fresh.bound))) {
+    Count(cached, -1);
+    Count(fresh, +1);
+  }
   tree_.Update(id, IndexNode::MakeLeaf(id, fresh));
   keys_[id] = fresh;
 }
@@ -150,11 +170,10 @@ namespace {
 using Tree = TournamentTree<CandidateIndex::IndexNode>;
 
 /// Pruned argmax descent for GREEDY's line-8 pick over candidates.
-/// Candidacy is monotone in the bound (the exact scaled comparison grows
-/// with the bound; +inf always admits, NaN/-inf never), so a subtree whose
-/// max bound fails the threshold holds no candidate and is cut; subtrees
-/// whose max key cannot beat the current best are cut by the same total
-/// order the scan's argmax uses. The result is the unique (key desc, id
+/// Candidacy is `bound >= cut` (+inf always admits, NaN/-inf never), so a
+/// subtree whose max bound is below the cut holds no candidate and is cut;
+/// subtrees whose max key cannot beat the current best are cut by the same
+/// total order the scan's argmax uses. The result is the unique (key desc, id
 /// asc) optimum over candidates, independent of visit order.
 void DescendBestCandidate(const Tree& tree, const CandidateIndex& index,
                           const CandidateIndex::Candidacy& candidacy,
@@ -274,6 +293,22 @@ Status CandidateIndex::Validate(const std::vector<UserState>& users) const {
   }
   if (fresh_sum.Compare(bound_sum_) != 0) {
     return Status::Internal("index: exact bound sum drifted");
+  }
+  if (cut_cached_) {
+    // A cached cut must be the one the fresh sum derives, bit-for-bit, and
+    // must witness the boundary: it clears the sum, its predecessor does
+    // not (unless it is already the least finite double).
+    if (fresh_finite == 0 ||
+        !SameBits(cut_, fresh_sum.MeanCut(fresh_finite))) {
+      return Status::Internal("index: cached candidate cut is stale");
+    }
+    if (!std::isfinite(cut_) ||
+        fresh_sum.CompareScaled(cut_, fresh_finite) < 0 ||
+        (cut_ != -std::numeric_limits<double>::max() &&
+         fresh_sum.CompareScaled(std::nextafter(cut_, kNegInf),
+                                 fresh_finite) >= 0)) {
+      return Status::Internal("index: candidate cut is not the boundary");
+    }
   }
   // Replay every internal merge: the materialized reduction must equal a
   // fresh fold over the current leaves.

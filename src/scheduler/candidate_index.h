@@ -35,10 +35,14 @@ namespace easeml::scheduler {
 ///     sum" is evaluated against an incrementally maintained
 ///     `ExactDoubleSum` — exact integer arithmetic, so adding a bound and
 ///     later subtracting it restores the accumulator bit-for-bit and the
-///     incremental sum equals the scan's fresh accumulation exactly. The
-///     line-8 argmax runs as a pruned tournament descent (candidacy is
-///     monotone in the bound, so a subtree whose max bound fails the
-///     threshold holds no candidate).
+///     incremental sum equals the scan's fresh accumulation exactly.
+///     Candidacy is monotone in the bound, so the exact test is the plain
+///     double test `bound >= cut` against the candidate cut
+///     (`ExactDoubleSum::MeanCut`), derived lazily with a few exact compares
+///     whenever the bound sum changed and cached until it changes again.
+///     The line-8 argmax runs as a pruned tournament descent (a subtree
+///     whose max bound is below the cut holds no candidate), one double
+///     compare per node.
 ///   - ROUNDROBIN / FCFS: min-id and cyclic-distance picks are answered
 ///     from `min_schedulable` summaries; the cursor is a QUERY parameter
 ///     (two O(log T) descents: min schedulable id >= cursor, else global
@@ -48,8 +52,11 @@ namespace easeml::scheduler {
 ///     draw (identical RNG stream) and rank counts let a binary search
 ///     recover the j-th schedulable id in ascending order.
 ///   - HYBRID: delegates to the active phase (GREEDY before the freeze
-///     switch, ROUNDROBIN after); its freeze detector runs in `OnOutcome`,
-///     outside the pick path, identically on both paths.
+///     switch, ROUNDROBIN after). Its freeze detector runs on the report
+///     path (`OnOutcomeIndexed`): it rebuilds Algorithm 2's line-7 set from
+///     the cached keys and the cut, one double compare per tenant, where
+///     the scan's `ComputeCandidateSet` (the oracle) pays an exact-sum add
+///     and compare per tenant.
 ///
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
@@ -96,18 +103,19 @@ class CandidateIndex {
     static IndexNode Merge(const IndexNode& a, const IndexNode& b);
   };
 
-  /// GREEDY's candidate-membership context: the exact threshold
-  /// statistics. When `all_candidates` (no finite bound exists) every
-  /// schedulable tenant is a candidate and the threshold test is skipped —
-  /// the scan paths' fallback.
+  /// GREEDY's candidate-membership context (`CurrentCandidacy`). When
+  /// `all_candidates` (no finite bound exists) every schedulable tenant is
+  /// a candidate and the threshold test is skipped — the scan paths'
+  /// fallback. Otherwise `cut` is the least double whose product with the
+  /// finite-bound count reaches the exact bound sum.
   struct Candidacy {
-    const ExactDoubleSum* sum = nullptr;
-    int finite_count = 0;
+    double cut = 0.0;
     bool all_candidates = false;
 
-    /// Exact Algorithm 2 line 7 membership test for a schedulable tenant's
-    /// bound; identical to the scan paths' BoundIsCandidate.
-    bool Admits(double bound) const;
+    /// Algorithm 2 line 7 membership test for a schedulable tenant's
+    /// bound; identical to the scan paths' exact BoundIsCandidate (the cut
+    /// is finite, so +inf always admits and NaN / -inf never do).
+    bool Admits(double bound) const { return all_candidates || bound >= cut; }
   };
 
   /// Best (key, lowest-id) pair of a pruned argmax descent; `user == kNone`
@@ -144,8 +152,12 @@ class CandidateIndex {
 
   // --- O(1) reads ---------------------------------------------------------
   const IndexNode& Root() const { return tree_.Root(); }
-  int FiniteCount() const { return finite_count_; }
-  const ExactDoubleSum& BoundSum() const { return bound_sum_; }
+
+  /// The line-7 membership context over the current keys. The cut is
+  /// derived from the bound sum on the first call after the sum changed
+  /// (a few exact compares) and cached until it changes again; every other
+  /// call is O(1).
+  Candidacy CurrentCandidacy() const;
 
   // --- Pruned descents ----------------------------------------------------
   /// Argmax of the line-8 key over CANDIDATES. `use_gap` picks the gap key
@@ -174,8 +186,10 @@ class CandidateIndex {
   /// Invariant check (tests / debug builds): recomputes every key from
   /// `users` and every aggregate from scratch and compares against the
   /// incrementally maintained state — keys bit-for-bit, sums by exact
-  /// comparison, every tree node re-merged. Returns Internal on the first
-  /// divergence. O(T); never called on the serving path.
+  /// comparison, a cached cut against one derived from the fresh sum (same
+  /// bits, and the two-sided `CompareScaled` witness), every tree node
+  /// re-merged. Returns Internal on the first divergence. O(T); never
+  /// called on the serving path.
   Status Validate(const std::vector<UserState>& users) const;
 
  private:
@@ -184,7 +198,8 @@ class CandidateIndex {
   TenantKey DeriveKey(const UserState& user) const;
 
   /// Adds (`sign` = +1) or removes (-1) `key`'s contribution to the
-  /// GREEDY phase-A scalar aggregates.
+  /// GREEDY phase-A scalar aggregates, dropping the cached cut if the sum
+  /// moved.
   void Count(const TenantKey& key, int sign);
 
   bool track_gap_ = true;
@@ -196,6 +211,11 @@ class CandidateIndex {
   // accumulation over the current members.
   ExactDoubleSum bound_sum_;
   int finite_count_ = 0;
+  // Lazily derived `bound_sum_.MeanCut(finite_count_)`; valid iff
+  // `cut_cached_`. Mutable: a cache behind const reads, serialized like the
+  // rest of the index by the owning engine.
+  mutable double cut_ = 0.0;
+  mutable bool cut_cached_ = false;
 };
 
 /// The ONE derivation of a tenant's index key from its runtime state; both

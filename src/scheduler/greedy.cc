@@ -147,10 +147,7 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
   if (root.cnt_schedulable == 0) {
     return Status::FailedPrecondition("Greedy: all users exhausted");
   }
-  CandidateIndex::Candidacy candidacy;
-  candidacy.sum = &index.BoundSum();
-  candidacy.finite_count = index.FiniteCount();
-  candidacy.all_candidates = candidacy.finite_count == 0;
+  const CandidateIndex::Candidacy candidacy = index.CurrentCandidacy();
   const bool use_gap = rule_ == Line8Rule::kMaxUcbGap;
 
   // Phase B quick path: the global argmax key over ALL schedulable users,

@@ -20,6 +20,10 @@ namespace easeml::scheduler {
 /// independent of accumulation order — the property that lets the candidate
 /// index maintain the sum incrementally (add and subtract per tenant event)
 /// and still reproduce this set bit-identically.
+///
+/// This scan is the oracle for line 7: the simulator and HYBRID's scan
+/// detector run it, and the index's cut-based set (HYBRID's
+/// `OnOutcomeIndexed`) is checked against it.
 std::vector<int> ComputeCandidateSet(const std::vector<UserState>& users);
 
 /// How line 8 of Algorithm 2 picks one user from the candidate set. The

@@ -1,6 +1,7 @@
 #include "scheduler/hybrid.h"
 
 #include "common/binary_io.h"
+#include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
 
@@ -29,15 +30,44 @@ void HybridScheduler::OnOutcome(const std::vector<UserState>& users,
                                 int served_user) {
   (void)served_user;
   if (switched_) return;
-  const std::vector<int> candidates = ComputeCandidateSet(users);
+  std::vector<int> candidates = ComputeCandidateSet(users);
+  Observe(users, &candidates);
+}
+
+void HybridScheduler::OnOutcomeIndexed(const std::vector<UserState>& users,
+                                       int served_user,
+                                       const CandidateIndex& index) {
+  (void)served_user;
+  if (switched_) return;
+  candidates_.clear();
+  const int tenants = static_cast<int>(users.size());
+  if (index.Root().cnt_schedulable > 0) {
+    const CandidateIndex::Candidacy candidacy = index.CurrentCandidacy();
+    for (int i = 0; i < tenants; ++i) {
+      const CandidateIndex::TenantKey& key = index.Key(i);
+      if (key.schedulable && candidacy.Admits(key.bound)) {
+        candidates_.push_back(i);
+      }
+    }
+    if (candidates_.empty()) {
+      for (int i = 0; i < tenants; ++i) {
+        if (index.Key(i).schedulable) candidates_.push_back(i);
+      }
+    }
+  }
+  Observe(users, &candidates_);
+}
+
+void HybridScheduler::Observe(const std::vector<UserState>& users,
+                              std::vector<int>* candidates) {
   const double total_best = TotalBestReward(users);
   // "The candidate set remains unchanged and the overall regret does not
   // drop": total regret drops exactly when some user's best accuracy
   // improves, which is observable as an increase of the summed best reward.
-  const bool frozen = have_snapshot_ && candidates == last_candidates_ &&
+  const bool frozen = have_snapshot_ && *candidates == last_candidates_ &&
                       total_best <= last_total_best_ + 1e-12;
   frozen_steps_ = frozen ? frozen_steps_ + 1 : 0;
-  last_candidates_ = candidates;
+  last_candidates_.swap(*candidates);
   last_total_best_ = total_best;
   have_snapshot_ = true;
   if (frozen_steps_ >= patience_) switched_ = true;

@@ -26,13 +26,25 @@ class HybridScheduler : public SchedulerPolicy {
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
   /// Delegates to the active phase's indexed pick (GREEDY before the
-  /// freeze, ROUNDROBIN after). The freeze detector stays in OnOutcome on
-  /// the report path — it compares whole candidate SETS, which no O(log T)
-  /// summary answers — so HYBRID's Next() is fully indexed either way.
+  /// freeze, ROUNDROBIN after), so HYBRID's Next() is fully indexed either
+  /// way. The freeze detector runs on the report path (`OnOutcome` /
+  /// `OnOutcomeIndexed`): it compares whole candidate SETS, so it stays
+  /// O(T) per outcome until the switch, but on the index that is one
+  /// double compare per tenant against the cached candidate cut.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
+  /// The freeze detector on the scan: the line-7 set from
+  /// `ComputeCandidateSet`, the oracle the indexed detector is checked
+  /// against.
   void OnOutcome(const std::vector<UserState>& users,
                  int served_user) override;
+  /// The same detector reading the index: the line-7 set is rebuilt from
+  /// the cached keys with `bound >= cut` per tenant (same regimes as
+  /// `ComputeCandidateSet`: no schedulable tenant gives the empty set; no
+  /// finite bound, or no tenant clearing the cut, gives every schedulable
+  /// tenant) into a reused buffer.
+  void OnOutcomeIndexed(const std::vector<UserState>& users, int served_user,
+                        const CandidateIndex& index) override;
   bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "hybrid"; }
 
@@ -44,6 +56,12 @@ class HybridScheduler : public SchedulerPolicy {
   bool switched() const { return switched_; }
 
  private:
+  /// One detector step on this outcome's line-7 set, which `candidates`
+  /// holds on entry; it is swapped into `last_candidates_`, leaving the
+  /// previous set in `candidates` as reusable storage.
+  void Observe(const std::vector<UserState>& users,
+               std::vector<int>* candidates);
+
   int patience_;
   GreedyScheduler greedy_;
   RoundRobinScheduler round_robin_;
@@ -53,6 +71,8 @@ class HybridScheduler : public SchedulerPolicy {
   bool have_snapshot_ = false;
   std::vector<int> last_candidates_;
   double last_total_best_ = 0.0;
+  // The indexed detector's line-7 buffer; scratch, never saved.
+  std::vector<int> candidates_;
 };
 
 }  // namespace easeml::scheduler

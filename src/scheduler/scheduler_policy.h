@@ -58,6 +58,16 @@ class SchedulerPolicy {
     (void)served_user;
   }
 
+  /// Index-backed twin of `OnOutcome`, as `PickUserIndexed` is of
+  /// `PickUser`: the engine calls it instead when it keeps a candidate
+  /// index, fresh for every tenant. It must leave the policy in the state
+  /// `OnOutcome` would, bit-identically. The default calls `OnOutcome`.
+  virtual void OnOutcomeIndexed(const std::vector<UserState>& users,
+                                int served_user, const CandidateIndex& index) {
+    (void)index;
+    OnOutcome(users, served_user);
+  }
+
   /// Whether the algorithm requires the initialization sweep of Algorithm 2
   /// (serve every user once before regular scheduling).
   virtual bool RequiresInitialSweep() const { return false; }

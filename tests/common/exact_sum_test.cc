@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -118,6 +120,84 @@ TEST(ExactDoubleSumTest, ManyAdditionsNormalizeCorrectly) {
   for (int i = 0; i < kCount; ++i) sum.Add(0.125);  // exactly representable
   EXPECT_EQ(sum.CompareScaled(0.125, kCount), 0);
   EXPECT_DOUBLE_EQ(sum.Value(), 0.125 * kCount);
+}
+
+/// Checks the two-sided witness of `sum.MeanCut(n)`: the cut clears the
+/// sum, its predecessor does not (unless the cut is the least finite
+/// double). Returns whether the naive `Value() / n` estimate missed it.
+bool ExpectCutIsBoundary(const ExactDoubleSum& sum, int64_t n) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const double cut = sum.MeanCut(n);
+  EXPECT_TRUE(std::isfinite(cut)) << "n=" << n;
+  EXPECT_GE(sum.CompareScaled(cut, n), 0) << "cut=" << cut << " n=" << n;
+  if (cut != -kMax) {
+    const double below =
+        std::nextafter(cut, -std::numeric_limits<double>::infinity());
+    EXPECT_LT(sum.CompareScaled(below, n), 0) << "cut=" << cut << " n=" << n;
+  }
+  return sum.Value() / static_cast<double>(n) != cut;
+}
+
+TEST(ExactDoubleSumTest, MeanCutIsTheExactBoundary) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  Rng rng(20261019);
+  // Value generators: mixed signs over a wide exponent range, subnormals,
+  // magnitudes near DBL_MAX (whose sums overflow a double), and values on
+  // a coarse grid (so exact means, hence ties at the cut, are common).
+  const std::vector<std::function<double()>> families = {
+      [&] {
+        return std::ldexp(rng.Uniform(-1.0, 1.0), rng.UniformInt(-60, 60));
+      },
+      [&] {
+        return std::ldexp(rng.Uniform(-1.0, 1.0), rng.UniformInt(-1074, -1000));
+      },
+      [&] {
+        return (rng.Uniform() < 0.2 ? -1.0 : 1.0) * kMax *
+               rng.Uniform(0.5, 1.0);
+      },
+      [&] { return 0.25 * rng.UniformInt(-8, 8); },
+  };
+  int estimate_missed = 0;
+  int cases = 0;
+  for (const auto& draw : families) {
+    for (const int64_t n : {1, 2, 3, 7, 64, 1000, 100000}) {
+      for (int trial = 0; trial < (n >= 1000 ? 2 : 40); ++trial) {
+        ExactDoubleSum sum;
+        for (int64_t i = 0; i < n; ++i) sum.Add(draw());
+        estimate_missed += ExpectCutIsBoundary(sum, n);
+        ++cases;
+      }
+    }
+  }
+  // The rounded mean lands off the cut often enough that the search, not
+  // the estimate, is what the witnesses above check.
+  EXPECT_GT(estimate_missed, cases / 10);
+
+  // n copies of x have mean exactly x: the cut is x itself.
+  for (const double x : {0.1, -0.3, 5e-324, -5e-324, 1.0, kMax, -kMax}) {
+    for (const int64_t n : {1, 3, 1000}) {
+      ExactDoubleSum sum;
+      for (int64_t i = 0; i < n; ++i) sum.Add(x);
+      EXPECT_EQ(sum.MeanCut(n), x) << "x=" << x << " n=" << n;
+      ExpectCutIsBoundary(sum, n);
+    }
+  }
+  // A zero mean cuts at +0.0, whatever the signs of the zeros added.
+  ExactDoubleSum zeros;
+  zeros.Add(-0.0);
+  zeros.Add(0.5);
+  zeros.Add(-0.5);
+  EXPECT_FALSE(std::signbit(zeros.MeanCut(3)));
+  EXPECT_EQ(zeros.MeanCut(3), 0.0);
+  ExpectCutIsBoundary(zeros, 3);
+
+  // The exact sum of three 0.1s lies halfway between two doubles and
+  // rounds up, so the estimate lands one ulp above the mean; the cut must
+  // still be 0.1 itself.
+  ExactDoubleSum tenths;
+  for (int i = 0; i < 3; ++i) tenths.Add(0.1);
+  EXPECT_EQ(tenths.Value() / 3.0, std::nextafter(0.1, 1.0));
+  EXPECT_EQ(tenths.MeanCut(3), 0.1);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "bandit/gp_ucb.h"
 #include "bandit/ucb1.h"
+#include "common/exact_sum.h"
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "scheduler/user_state.h"
@@ -104,35 +105,46 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
     // through the whole bound range, forcing every pruning branch:
     // thresholds between the minimum and far above the maximum (global
     // argmax not a candidate).
-    std::vector<std::pair<ExactDoubleSum, int>> contexts;
-    contexts.emplace_back(index.BoundSum(), index.FiniteCount());
-    for (double target : {0.0, 0.5, 1.0, 2.0, 5.0, 50.0}) {
-      ExactDoubleSum forced;  // mean == target, so candidacy = bound >= target
-      forced.Add(target);
-      contexts.emplace_back(forced, 1);
+    const CandidateIndex::Candidacy real = index.CurrentCandidacy();
+    ASSERT_FALSE(real.all_candidates);
+    // The real cut answers the exact line-7 test for every finite bound.
+    ExactDoubleSum sum;
+    int finite = 0;
+    for (int i = 0; i < kUsers; ++i) {
+      const double bound = index.Key(i).bound;
+      if (!index.Key(i).schedulable || !std::isfinite(bound)) continue;
+      sum.Add(bound);
+      ++finite;
     }
-    contexts.emplace_back(ExactDoubleSum(), 0);  // all-candidates mode
+    for (int i = 0; i < kUsers; ++i) {
+      const double bound = index.Key(i).bound;
+      if (!index.Key(i).schedulable || !std::isfinite(bound)) continue;
+      EXPECT_EQ(real.Admits(bound), sum.CompareScaled(bound, finite) >= 0)
+          << "seed=" << seed << " tenant=" << i;
+    }
+    std::vector<CandidateIndex::Candidacy> contexts = {real};
+    for (double target : {0.0, 0.5, 1.0, 2.0, 5.0, 50.0}) {
+      contexts.push_back({target, /*all_candidates=*/false});
+    }
+    contexts.push_back({0.0, /*all_candidates=*/true});
 
-    for (const auto& [sum, finite] : contexts) {
-      CandidateIndex::Candidacy candidacy;
-      candidacy.sum = &sum;
-      candidacy.finite_count = finite;
-      candidacy.all_candidates = finite == 0;
+    for (const CandidateIndex::Candidacy& candidacy : contexts) {
       for (bool use_gap : {true, false}) {
         const CandidateIndex::Best got =
             index.BestCandidate(candidacy, use_gap);
         const CandidateIndex::Best expected =
             BruteBest(index, kUsers, candidacy, use_gap);
         EXPECT_EQ(got.user, expected.user)
-            << "seed=" << seed << " finite=" << finite
-            << " use_gap=" << use_gap;
+            << "seed=" << seed << " cut=" << candidacy.cut
+            << " all=" << candidacy.all_candidates << " use_gap=" << use_gap;
         if (expected.user != kNone) {
           EXPECT_EQ(got.key, expected.key);
         }
       }
       EXPECT_EQ(index.MinCandidate(candidacy),
                 BruteMinCandidate(index, kUsers, candidacy))
-          << "seed=" << seed << " finite=" << finite;
+          << "seed=" << seed << " cut=" << candidacy.cut
+          << " all=" << candidacy.all_candidates;
     }
 
     // Rank and suffix queries against brute force, at every boundary.
