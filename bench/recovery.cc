@@ -334,13 +334,13 @@ int main(int argc, char** argv) {
     // gate statistic is the MINIMUM delta over the off x wal pairs — the
     // intrinsic cost — and the off-vs-off spread is printed as the run's
     // noise floor.
-    std::vector<WalArm> arms;
+    std::vector<WalArm> arms = {WalArm::kOff, WalArm::kDeferred};
     if (tenants == 100000) {
-      arms = {WalArm::kOff, WalArm::kDeferred, WalArm::kOff,
-              WalArm::kDeferred};
+      arms.push_back(WalArm::kOff);
+      arms.push_back(WalArm::kDeferred);
       if (!gate_only) arms.push_back(WalArm::kBuffered);
     } else {
-      arms = {WalArm::kOff, WalArm::kDeferred, WalArm::kBuffered};
+      arms.push_back(WalArm::kBuffered);
       if (tenants <= 1000) arms.push_back(WalArm::kFsync);
     }
     const std::vector<Cell> cells = RunServeCampaigns(tenants, arms);

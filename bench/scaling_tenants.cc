@@ -58,7 +58,7 @@ void Step(Belief& belief, int tenant, int step, int k) {
   const int arm = (tenant * 7 + step * 13) % k;
   const double y = 0.3 + 0.4 * (((tenant + 3) * (step + 11)) % 17) / 17.0;
   EASEML_CHECK(belief.Observe(arm, y).ok());
-  const auto summary = belief.AllMarginals();
+  const auto& summary = belief.AllMarginals();
   EASEML_CHECK(static_cast<int>(summary.mean.size()) == k);
 }
 

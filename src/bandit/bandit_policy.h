@@ -59,7 +59,8 @@ class BanditPolicy {
   /// Largest B_t over `arms` (the caller passes the arms it considers
   /// live — e.g. neither played nor charged to an in-flight device);
   /// -infinity when `arms` is empty. Belief-backed policies override this
-  /// with a single batched posterior read instead of |arms| scalar queries.
+  /// to read bounds they computed in one batch instead of |arms| scalar
+  /// queries.
   virtual double MaxUcb(const std::vector<int>& arms, int t) const;
 
  protected:

@@ -11,6 +11,20 @@ namespace easeml::bandit {
 
 namespace {
 constexpr double kPiSquaredOverSix = 1.6449340668482264;
+
+/// The first of `arms` with the largest `bound(arm)` and that bound, under
+/// a strict `>` so ties keep the earliest arm.
+template <typename Bound>
+std::pair<int, double> FirstMax(const std::vector<int>& arms, Bound bound) {
+  std::pair<int, double> best(arms[0],
+                              -std::numeric_limits<double>::infinity());
+  for (int arm : arms) {
+    const double u = bound(arm);
+    if (u > best.second) best = {arm, u};
+  }
+  return best;
+}
+
 }  // namespace
 
 GpUcbPolicy::GpUcbPolicy(std::unique_ptr<gp::ArmBelief> belief,
@@ -89,44 +103,42 @@ double GpUcbPolicy::UcbFromMarginals(int arm, double beta, double mean,
   return mean + std::sqrt(beta) * std::sqrt(std::max(0.0, variance));
 }
 
-double GpUcbPolicy::Ucb(int arm, int t) const {
-  return UcbFromMarginals(arm, Beta(t), belief_->Mean(arm),
-                          belief_->Variance(arm));
+const double* GpUcbPolicy::CachedBounds(int t) const {
+  if (bounds_t_ != t) {
+    const gp::PosteriorSummary& marginals = belief_->AllMarginals();
+    const double beta = Beta(t);
+    const int k = num_arms();
+    bounds_.resize(k);
+    for (int arm = 0; arm < k; ++arm) {
+      bounds_[arm] = UcbFromMarginals(arm, beta, marginals.mean[arm],
+                                      marginals.variance[arm]);
+    }
+    bounds_t_ = t;
+  }
+  return bounds_.data();
 }
 
+std::pair<int, double> GpUcbPolicy::FirstMaxUcb(const std::vector<int>& arms,
+                                                int t) const {
+  const double* bounds = CachedBounds(t);
+  return FirstMax(arms, [bounds](int arm) { return bounds[arm]; });
+}
+
+double GpUcbPolicy::Ucb(int arm, int t) const { return CachedBounds(t)[arm]; }
+
 double GpUcbPolicy::MaxUcb(const std::vector<int>& arms, int t) const {
-  double best = -std::numeric_limits<double>::infinity();
-  if (arms.empty()) return best;
-  const gp::PosteriorSummary summary = belief_->AllMarginals();
-  const double beta = Beta(t);
-  for (int arm : arms) {
-    best = std::max(best, UcbFromMarginals(arm, beta, summary.mean[arm],
-                                           summary.variance[arm]));
-  }
-  return best;
+  if (arms.empty()) return -std::numeric_limits<double>::infinity();
+  return FirstMaxUcb(arms, t).second;
 }
 
 Result<int> GpUcbPolicy::SelectArm(const std::vector<int>& available, int t) {
   EASEML_RETURN_NOT_OK(ValidateAvailable(available));
   if (t < 1) return Status::InvalidArgument("SelectArm: t must be >= 1");
-  // One batched marginal read instead of K scalar posterior queries — the
-  // shared-prior representation serves this with a single cached summary.
-  const gp::PosteriorSummary summary = belief_->AllMarginals();
-  const double beta = Beta(t);
-  int best = available[0];
-  double best_ucb = -std::numeric_limits<double>::infinity();
-  for (int arm : available) {
-    const double u =
-        UcbFromMarginals(arm, beta, summary.mean[arm], summary.variance[arm]);
-    if (u > best_ucb) {
-      best_ucb = u;
-      best = arm;
-    }
-  }
-  return best;
+  return FirstMaxUcb(available, t).first;
 }
 
 Status GpUcbPolicy::Update(int arm, double reward) {
+  bounds_t_ = 0;
   return belief_->Observe(arm, reward);
 }
 

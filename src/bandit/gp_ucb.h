@@ -2,6 +2,7 @@
 #define EASEML_BANDIT_GP_UCB_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bandit/bandit_policy.h"
@@ -31,12 +32,19 @@ struct GpUcbOptions {
 /// GP-UCB arm selection (Algorithm 1) with the optional cost-aware twist.
 ///
 /// Works against any `gp::ArmBelief` — the dense `DiscreteArmGp` or the
-/// multi-tenant `SharedPriorGp`. At round t it reads the batched posterior
-/// summary once and picks
-///   argmax_k mu_{t-1}(k) + sqrt(beta_t [/ c_k]) sigma_{t-1}(k)
+/// multi-tenant `SharedPriorGp`. At round t it picks
+///   argmax_k B_t(k) = mu_{t-1}(k) + sqrt(beta_t [/ c_k]) sigma_{t-1}(k)
 /// over the available arms. Exposes the ingredients (mean, stddev, beta,
 /// UCB) that the multi-tenant GREEDY scheduler needs for its user-picking
 /// phase via the `BanditPolicy` diagnostics surface.
+///
+/// B_t depends only on the belief's marginals and on t, so the policy
+/// keeps one bound vector: the first read after an observation computes
+/// B_t(k) for all K arms in one pass over the batched posterior summary,
+/// and every later `SelectArm`, `Ucb` and `MaxUcb` at that t only reads and
+/// compares. `Update` drops the vector, and a read at another t refills it.
+/// The const reads fill the vector, so like the belief's own marginal
+/// caches a policy must not be read from two threads at once.
 class GpUcbPolicy : public BanditPolicy {
  public:
   /// Validates options against the belief dimension. `belief` must be
@@ -68,8 +76,8 @@ class GpUcbPolicy : public BanditPolicy {
   double StdDev(int arm) const override { return belief_->StdDev(arm); }
   /// Upper confidence bound B_t(k) = mu(k) + sqrt(beta_t [/ c_k]) sigma(k).
   double Ucb(int arm, int t) const override;
-  /// Batched max-UCB over `arms` from one posterior-summary read (what the
-  /// in-flight-aware scheduler diagnostics consume each round).
+  /// Max-UCB over `arms` from the bound vector (what the in-flight-aware
+  /// scheduler diagnostics consume each round).
   double MaxUcb(const std::vector<int>& arms, int t) const override;
 
   double ArmCost(int arm) const;
@@ -81,15 +89,27 @@ class GpUcbPolicy : public BanditPolicy {
   GpUcbPolicy(std::unique_ptr<gp::ArmBelief> belief, GpUcbOptions options);
 
   /// The one place the selection index is computed: B(arm) =
-  /// mean + sqrt(beta [/ c_arm]) * sqrt(max(0, variance)). Both the batched
-  /// SelectArm loop and the scalar Ucb diagnostic delegate here so the two
-  /// paths cannot drift apart.
+  /// mean + sqrt(beta [/ c_arm]) * sqrt(max(0, variance)).
   double UcbFromMarginals(int arm, double beta, double mean,
                           double variance) const;
+
+  /// B_t for all K arms, refilled on the first read since the last `Update`
+  /// and on any read at a t other than the one it holds.
+  const double* CachedBounds(int t) const;
+
+  /// The first of `arms` with the largest B_t and that bound; (arms[0],
+  /// -inf) when no bound exceeds -inf. Precondition: `arms` non-empty.
+  std::pair<int, double> FirstMaxUcb(const std::vector<int>& arms,
+                                     int t) const;
 
   std::unique_ptr<gp::ArmBelief> belief_;
   GpUcbOptions options_;
   double max_cost_ = 1.0;  // c* for the theoretical beta schedule
+
+  // The bound vector: bounds_[k] = B_{bounds_t_}(k); bounds_t_ = 0 (no t
+  // is below 1) means empty.
+  mutable std::vector<double> bounds_;
+  mutable int bounds_t_ = 0;
 };
 
 }  // namespace easeml::bandit

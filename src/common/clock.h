@@ -14,10 +14,16 @@ namespace easeml {
 ///  - `MonotonicSeconds()` (CLOCK_MONOTONIC) measures wall time: makespans,
 ///    drain stalls, refresh intervals. Advances while a thread sleeps.
 ///  - `ThreadCpuSeconds()` (CLOCK_THREAD_CPUTIME_ID) measures CPU time
-///    consumed by the *calling thread only*: per-phase engine costs and
-///    bench latencies. Immune to scheduling noise on oversubscribed hosts
-///    (the bench protocol runs on single-core containers), but meaningless
-///    across threads — never difference readings taken on different threads.
+///    consumed by the *calling thread only*: bench latencies. Immune to
+///    scheduling noise on oversubscribed hosts (the bench protocol runs on
+///    single-core containers), but meaningless across threads — never
+///    difference readings taken on different threads.
+///
+/// The monotonic clock is served from the vDSO without entering the
+/// kernel; the thread-CPU clock is a system call on every read, an order of
+/// magnitude dearer. Library code (src/) therefore times itself on
+/// `MonotonicSeconds()` only (the `thread-cpu-clock` lint rule), and the
+/// thread-CPU clock is left to the benches.
 
 /// Seconds on the monotonic wall clock. Only differences are meaningful.
 inline double MonotonicSeconds() {

@@ -389,10 +389,10 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   // Timed only when observed: the unobserved serving path reads no clocks.
   SelectorObserver* obs = options_.observer;
   double t0 = 0.0;
-  if (obs != nullptr) t0 = ThreadCpuSeconds();
+  if (obs != nullptr) t0 = MonotonicSeconds();
   Result<int> picked = PickTenant(round_ + 1);
   double t1 = 0.0;
-  if (obs != nullptr) t1 = ThreadCpuSeconds();
+  if (obs != nullptr) t1 = MonotonicSeconds();
   if (!picked.ok()) {
     if (obs != nullptr) obs->OnNext(false, (t1 - t0) * 1e6, 0.0);
     return picked.status();
@@ -402,7 +402,7 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
   NotifyTenantEvent(tenant);
   if (obs != nullptr) {
-    const double t2 = ThreadCpuSeconds();
+    const double t2 = MonotonicSeconds();
     obs->OnNext(selected.ok(), (t1 - t0) * 1e6, (t2 - t1) * 1e6);
   }
   if (!selected.ok()) return selected.status();
@@ -492,7 +492,7 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
   // fold runs inline, so the validation/fold split comes from one pass.
   SelectorObserver* obs = options_.observer;
   double t0 = 0.0;
-  if (obs != nullptr) t0 = ThreadCpuSeconds();
+  if (obs != nullptr) t0 = MonotonicSeconds();
   Result<Assignment> issued = BeginReport(assignment, accuracy);
   if (!issued.ok()) {
     if (obs != nullptr) {
@@ -502,12 +502,12 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
   }
   double t1 = 0.0;
   if (obs != nullptr) {
-    t1 = ThreadCpuSeconds();
+    t1 = MonotonicSeconds();
     obs->OnFoldQueued(0);
   }
   FoldReportedOutcome(*issued, accuracy);
   double t2 = 0.0;
-  if (obs != nullptr) t2 = ThreadCpuSeconds();
+  if (obs != nullptr) t2 = MonotonicSeconds();
   if (index_ != nullptr) {
     scheduler_->OnOutcomeIndexed(users_, issued->tenant, *index_);
   } else {
@@ -515,7 +515,7 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
   }
   ++round_;
   if (obs != nullptr) {
-    const double t3 = ThreadCpuSeconds();
+    const double t3 = MonotonicSeconds();
     obs->OnFold(0, (t2 - t1) * 1e6);
     obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
   }

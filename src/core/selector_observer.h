@@ -75,17 +75,20 @@ class SelectorObserver {
   }
 
   /// A `Next()` call finished its pick + arm-selection phases. `pick_us` is
-  /// the tenant-pick (index descent / scan) thread-CPU cost, `arm_us` the
-  /// arm-selection cost; `ok` is false when no assignment was handed out.
+  /// the tenant-pick (index descent / scan) wall time on the monotonic
+  /// clock, `arm_us` the arm-selection wall time; `ok` is false when no
+  /// assignment was handed out. Wall time, not thread-CPU time: the
+  /// monotonic clock is read without a system call, so observing a call
+  /// adds little to it, but a preempted call is charged its wait.
   virtual void OnNext(bool ok, double pick_us, double arm_us) {
     (void)ok;
     (void)pick_us;
     (void)arm_us;
   }
 
-  /// A `Report()` finished successfully; `coord_us` is its thread-CPU
-  /// microseconds outside the fold (validation, ticket retirement and the
-  /// scheduler's OnOutcome).
+  /// A `Report()` finished successfully; `coord_us` is its monotonic
+  /// wall-clock microseconds outside the fold (validation, ticket
+  /// retirement and the scheduler's OnOutcome).
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -99,8 +102,8 @@ class SelectorObserver {
   /// next benchmark change).
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
-  /// A report's belief fold ran inline, costing `fold_us` thread-CPU
-  /// microseconds. `shard` is always 0 (see `OnFoldQueued`).
+  /// A report's belief fold ran inline, costing `fold_us` monotonic
+  /// wall-clock microseconds. `shard` is always 0 (see `OnFoldQueued`).
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;

@@ -33,7 +33,9 @@ struct PosteriorSummary {
 /// Protocol: `Observe(arm, y)` conditions on one noisy observation;
 /// marginals are read either per arm (`Mean`/`Variance`/`StdDev`) or for
 /// all K arms at once (`AllMarginals`, the batch entry point policies
-/// should prefer — one pass over the arms instead of K scalar queries).
+/// should prefer). `AllMarginals` returns a reference to marginals the
+/// belief already holds, so a read copies nothing; the reference stays
+/// valid until the next `Observe` or `Reset`.
 class ArmBelief {
  public:
   virtual ~ArmBelief() = default;
@@ -52,8 +54,9 @@ class ArmBelief {
   virtual double Variance(int k) const = 0;
   double StdDev(int k) const { return std::sqrt(Variance(k)); }
 
-  /// Posterior marginals of all K arms, computed in one batch.
-  virtual PosteriorSummary AllMarginals() const = 0;
+  /// Posterior marginals of all K arms (computed in one batch when stale).
+  /// Valid until the next `Observe` or `Reset`.
+  virtual const PosteriorSummary& AllMarginals() const = 0;
 
   /// Conditions the belief on one observation `y` of arm `arm`.
   virtual Status Observe(int arm, double y) = 0;

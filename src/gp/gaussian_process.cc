@@ -1,5 +1,6 @@
 #include "gp/gaussian_process.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -16,8 +17,10 @@ DiscreteArmGp::DiscreteArmGp(linalg::Matrix prior_cov, double noise_variance,
     : prior_cov_(std::move(prior_cov)),
       prior_mean_(std::move(prior_mean)),
       noise_variance_(noise_variance),
-      cov_(prior_cov_),
-      mean_(prior_mean_) {}
+      cov_(prior_cov_) {
+  marginals_.mean = prior_mean_;
+  RefreshVariances();
+}
 
 Result<DiscreteArmGp> DiscreteArmGp::Create(linalg::Matrix prior_cov,
                                             double noise_variance,
@@ -48,22 +51,18 @@ Result<DiscreteArmGp> DiscreteArmGp::Create(linalg::Matrix prior_cov,
                        std::move(prior_mean));
 }
 
-double DiscreteArmGp::Variance(int k) const {
-  // Guard against tiny negative values from floating-point cancellation.
-  return std::max(0.0, cov_(k, k));
-}
-
-PosteriorSummary DiscreteArmGp::AllMarginals() const {
-  PosteriorSummary out;
-  out.mean = mean_;
-  out.variance.resize(mean_.size());
-  for (int k = 0; k < num_arms(); ++k) out.variance[k] = Variance(k);
-  return out;
+void DiscreteArmGp::RefreshVariances() {
+  const int k = cov_.rows();
+  marginals_.variance.resize(k);
+  for (int i = 0; i < k; ++i) {
+    marginals_.variance[i] = std::max(0.0, cov_(i, i));
+  }
 }
 
 size_t DiscreteArmGp::ApproxMemoryBytes() const {
-  return sizeof(double) * (prior_cov_.data().size() + cov_.data().size() +
-                           prior_mean_.size() + mean_.size());
+  return sizeof(double) *
+         (prior_cov_.data().size() + cov_.data().size() + prior_mean_.size() +
+          marginals_.mean.size() + marginals_.variance.size());
 }
 
 Status DiscreteArmGp::Observe(int arm, double y) {
@@ -73,12 +72,13 @@ Status DiscreteArmGp::Observe(int arm, double y) {
   const int k = num_arms();
   const double denom = cov_(arm, arm) + noise_variance_;
   EASEML_DCHECK(denom > 0.0);
-  const double innovation = y - mean_[arm];
+  std::vector<double>& mean = marginals_.mean;
+  const double innovation = y - mean[arm];
   // Copy of the pivot row before the covariance is overwritten.
   std::vector<double> pivot_row = cov_.Row(arm);
   for (int i = 0; i < k; ++i) {
     const double gain = pivot_row[i] / denom;
-    mean_[i] += gain * innovation;
+    mean[i] += gain * innovation;
     for (int j = 0; j < k; ++j) {
       cov_(i, j) -= gain * pivot_row[j];
     }
@@ -91,13 +91,15 @@ Status DiscreteArmGp::Observe(int arm, double y) {
       cov_(j, i) = v;
     }
   }
+  RefreshVariances();
   ++num_observations_;
   return Status::OK();
 }
 
 void DiscreteArmGp::Reset() {
   cov_ = prior_cov_;
-  mean_ = prior_mean_;
+  marginals_.mean = prior_mean_;
+  RefreshVariances();
   num_observations_ = 0;
 }
 

@@ -31,20 +31,23 @@ class DiscreteArmGp : public ArmBelief {
                                       double noise_variance,
                                       std::vector<double> prior_mean = {});
 
-  int num_arms() const override { return static_cast<int>(mean_.size()); }
+  int num_arms() const override {
+    return static_cast<int>(marginals_.mean.size());
+  }
   int num_observations() const override { return num_observations_; }
   double noise_variance() const override { return noise_variance_; }
 
   /// Posterior marginals of arm k.
-  double Mean(int k) const override { return mean_[k]; }
-  double Variance(int k) const override;
+  double Mean(int k) const override { return marginals_.mean[k]; }
+  double Variance(int k) const override { return marginals_.variance[k]; }
 
-  /// Marginals of all arms, read off the dense posterior state.
-  PosteriorSummary AllMarginals() const override;
+  /// Marginals of all arms: the posterior mean and the covariance diagonal
+  /// (clamped at 0), kept up to date by `Observe` and `Reset`.
+  const PosteriorSummary& AllMarginals() const override { return marginals_; }
 
   /// Full posterior mean / covariance access (used by tests and by the
   /// hybrid scheduler's diagnostics).
-  const std::vector<double>& mean() const { return mean_; }
+  const std::vector<double>& mean() const { return marginals_.mean; }
   const linalg::Matrix& covariance() const { return cov_; }
 
   /// Conditions the belief on one observation `y` of arm `arm`.
@@ -53,7 +56,7 @@ class DiscreteArmGp : public ArmBelief {
   /// Resets to the prior belief.
   void Reset() override;
 
-  /// Two K x K matrices plus the mean vectors — the O(K^2) footprint the
+  /// Two K x K matrices plus the marginal vectors — the O(K^2) footprint the
   /// shared-prior representation exists to avoid.
   size_t ApproxMemoryBytes() const override;
 
@@ -80,8 +83,12 @@ class DiscreteArmGp : public ArmBelief {
   std::vector<double> prior_mean_;
   double noise_variance_;
 
-  linalg::Matrix cov_;        // current posterior covariance
-  std::vector<double> mean_;  // current posterior mean
+  /// Copies cov_'s diagonal, clamped at 0 against floating-point
+  /// cancellation, into marginals_.variance.
+  void RefreshVariances();
+
+  linalg::Matrix cov_;          // current posterior covariance
+  PosteriorSummary marginals_;  // posterior mean and clamped cov_ diagonal
   int num_observations_ = 0;
 };
 

@@ -169,7 +169,7 @@ double SharedPriorGp::Variance(int k) const {
   return summary_.variance[k];
 }
 
-PosteriorSummary SharedPriorGp::AllMarginals() const {
+const PosteriorSummary& SharedPriorGp::AllMarginals() const {
   EnsureSummary();
   return summary_;
 }

@@ -76,7 +76,7 @@ class SharedPriorGp : public ArmBelief {
 
   double Mean(int k) const override;
   double Variance(int k) const override;
-  PosteriorSummary AllMarginals() const override;
+  const PosteriorSummary& AllMarginals() const override;
 
   Status Observe(int arm, double y) override;
   void Reset() override;

@@ -32,14 +32,14 @@ struct FleetObserverOptions {
 ///
 /// Instruments (all prefixed `easeml_`):
 ///   next_total / next_rejected          Next() calls / calls with no work
-///   next_pick_us / next_arm_us          tenant-pick and arm-selection CPU
-///   report_total / report_coord_us      Report() successes / non-fold CPU
+///   next_pick_us / next_arm_us          tenant-pick and arm-selection wall
+///   report_total / report_coord_us      Report() successes / non-fold wall
 ///   report_rejected_unknown_ticket      BeginReport/Cancel NotFound
 ///   report_rejected_stale_ticket        ... FailedPrecondition (duplicate)
 ///   report_rejected_mismatch_or_invalid ... InvalidArgument (forged/NaN)
 ///   report_rejected_other               any other rejection code
 ///   folds_queued / folds_executed       report folds started / finished
-///   report_fold_us                      per-fold CPU
+///   report_fold_us                      per-fold wall
 ///   tenant_events                       snapshot-plane applies
 class FleetObserver final : public core::SelectorObserver {
  public:

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -256,6 +261,130 @@ TEST(GpUcbTest, CorrelationTransfersInformation) {
   auto arm = policy->SelectArm({1, 2}, 2);
   ASSERT_TRUE(arm.ok());
   EXPECT_EQ(*arm, 2);
+}
+
+/// B_t(k) by the scalar formula, from a fresh copy of the belief's
+/// marginals: the oracle the policy's bound vector is held to.
+std::vector<double> ScalarBounds(const GpUcbPolicy& policy, int t) {
+  const gp::PosteriorSummary marginals = policy.belief().AllMarginals();
+  std::vector<double> bounds(policy.num_arms());
+  for (int k = 0; k < policy.num_arms(); ++k) {
+    double beta = policy.Beta(t);
+    if (policy.options().cost_aware) beta /= policy.ArmCost(k);
+    const double variance = std::max(0.0, marginals.variance[k]);
+    bounds[k] = marginals.mean[k] + std::sqrt(beta) * std::sqrt(variance);
+  }
+  return bounds;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Reads SelectArm first (so on a fresh t it is the read that fills the
+/// bound vector), then Ucb per arm, then MaxUcb, over every arm and over
+/// two proper subsets, and holds each to the scalar formula bit for bit.
+void ExpectBoundsExact(GpUcbPolicy& policy, int t, const std::string& where) {
+  SCOPED_TRACE(where + " t=" + std::to_string(t));
+  const std::vector<double> want = ScalarBounds(policy, t);
+  const int k = policy.num_arms();
+  std::vector<int> all, even, tail;
+  for (int a = 0; a < k; ++a) {
+    all.push_back(a);
+    if (a % 2 == 0) even.push_back(a);
+    if (a >= k / 2) tail.push_back(a);
+  }
+  for (const std::vector<int>& arms : {all, even, tail}) {
+    int want_arm = arms[0];
+    double want_max = -std::numeric_limits<double>::infinity();
+    for (int a : arms) {
+      if (want[a] > want_max) {
+        want_max = want[a];
+        want_arm = a;
+      }
+    }
+    auto arm = policy.SelectArm(arms, t);
+    ASSERT_TRUE(arm.ok());
+    EXPECT_EQ(*arm, want_arm);
+    for (int a : arms) {
+      EXPECT_TRUE(SameBits(policy.Ucb(a, t), want[a])) << "arm " << a;
+    }
+    EXPECT_TRUE(SameBits(policy.MaxUcb(arms, t), want_max));
+  }
+}
+
+/// The bound vector must be bit-identical to the scalar formula on fresh
+/// marginals after every Update: on both beliefs, with and without the
+/// cost-aware twist and the theoretical beta schedule, for a read at the
+/// t the vector was filled at before the Update (the fold's key refresh
+/// and the next selection read the same t when a tenant has several runs
+/// in flight), at the next t, and at another t, which refills it. Arms 0
+/// and 1 share one prior row and the noise is below double precision, so
+/// observing arm 1 after arm 0 makes the shared-prior belief's Cholesky
+/// append fail and take the jittered refactorization.
+TEST(GpUcbTest, BoundVectorMatchesScalarFormulaAfterEveryUpdate) {
+  const int k = 5;
+  auto gram = *linalg::Matrix::FromRowMajor(
+      k, k,
+      {1.0, 1.0, 0.4, 0.2, 0.1,  //
+       1.0, 1.0, 0.4, 0.2, 0.1,  //
+       0.4, 0.4, 1.0, 0.3, 0.2,  //
+       0.2, 0.2, 0.3, 1.0, 0.4,  //
+       0.1, 0.1, 0.2, 0.4, 1.0});
+  const double noise = 1e-20;
+  const std::vector<double> mean = {0.5, 0.5, 0.55, 0.45, 0.6};
+  // Arm 1 repeats arm 0's reward: at this noise the dense belief's update
+  // is only well conditioned for a zero innovation.
+  const std::vector<std::pair<int, double>> steps = {
+      {0, 0.8}, {1, 0.8}, {2, 0.3}, {4, 0.7}, {3, 0.2}};
+
+  for (const bool shared : {false, true}) {
+    for (const bool cost_aware : {false, true}) {
+      for (const bool theoretical : {false, true}) {
+        const std::string config =
+            std::string(shared ? "shared" : "dense") +
+            (cost_aware ? "/cost-aware" : "") +
+            (theoretical ? "/theoretical-beta" : "");
+        SCOPED_TRACE(config);
+        GpUcbOptions opts;
+        opts.cost_aware = cost_aware;
+        opts.theoretical_beta = theoretical;
+        if (cost_aware) opts.costs = {1.0, 2.5, 0.5, 4.0, 1.5};
+        std::unique_ptr<gp::ArmBelief> belief;
+        if (shared) {
+          auto prior = gp::MakeSharedGpPrior(gram, noise, mean);
+          ASSERT_TRUE(prior.ok());
+          auto gp = gp::SharedPriorGp::CreateUnique(*prior);
+          ASSERT_TRUE(gp.ok());
+          belief = std::move(gp).value();
+        } else {
+          auto gp = gp::DiscreteArmGp::Create(gram, noise, mean);
+          ASSERT_TRUE(gp.ok());
+          belief = std::make_unique<gp::DiscreteArmGp>(std::move(gp).value());
+        }
+        auto policy = GpUcbPolicy::Create(std::move(belief), opts);
+        ASSERT_TRUE(policy.ok());
+
+        int t = 1;
+        ExpectBoundsExact(*policy, t, "prior");
+        for (const auto& [arm, y] : steps) {
+          ASSERT_TRUE(policy->Update(arm, y).ok());
+          const std::string after = "after arm " + std::to_string(arm);
+          ExpectBoundsExact(*policy, t, after + ", same t");
+          ExpectBoundsExact(*policy, t + 1, after + ", next t");
+          ExpectBoundsExact(*policy, t + 7, after + ", other t");
+          ExpectBoundsExact(*policy, t + 1, after + ", next t again");
+          ++t;
+        }
+        if (shared) {
+          // Only the jittered factor has L(0, 0) != sqrt(1 + 1e-20) == 1.
+          const auto& gp =
+              dynamic_cast<const gp::SharedPriorGp&>(policy->belief());
+          EXPECT_GT(gp.factor().At(0, 0), 1.0);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

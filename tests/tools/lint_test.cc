@@ -56,8 +56,8 @@ TEST(LintCli, HelpListsEveryRule) {
   EXPECT_EQ(run.exit_code, 0);
   for (const char* rule :
        {"unordered-container", "raw-rng", "chrono-seed", "raw-double-accum",
-        "raw-sync", "unguarded-mutex", "raw-clock", "raw-file-io",
-        "bad-suppression"}) {
+        "raw-sync", "unguarded-mutex", "raw-clock", "thread-cpu-clock",
+        "raw-file-io", "bad-suppression"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos)
         << "--help does not document rule: " << rule;
   }
@@ -156,6 +156,27 @@ TEST(LintRules, RawClockAllowedInCommon) {
   LintRun run = RunLint(Fixture("common/clock_ok.cc"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_EQ(run.output.find("raw-clock"), std::string::npos) << run.output;
+}
+
+TEST(LintRules, ThreadCpuClockInLibrarySources) {
+  const std::string rel = "src/core/thread_cpu_clock.cc";
+  LintRun run = RunLint(Fixture(rel));
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.output.find(Anchor(rel, 6, "thread-cpu-clock")),
+            std::string::npos)
+      << run.output;
+  // The monotonic read on line 7 is the sanctioned clock, and the
+  // reasoned suppression on line 11 silences the read on line 12.
+  EXPECT_EQ(run.output.find(":7:"), std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find(":12:"), std::string::npos) << run.output;
+}
+
+TEST(LintRules, ThreadCpuClockAllowedOutsideSrc) {
+  // Benches live outside src/ and keep their thread-CPU timers.
+  LintRun run = RunLint(Fixture("bench/thread_cpu_ok.cc"));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output.find("thread-cpu-clock"), std::string::npos)
+      << run.output;
 }
 
 TEST(LintRules, RawFileIoOutsideWal) {

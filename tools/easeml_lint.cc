@@ -35,6 +35,12 @@
 //                        (easeml::MonotonicSeconds/ThreadCpuSeconds) so the
 //                        clock choice, and any future virtualization for
 //                        deterministic replay, lives in one place.
+//   thread-cpu-clock     no ThreadCpuSeconds anywhere under src/ except its
+//                        definition in common/clock.h — CLOCK_THREAD_CPUTIME_ID
+//                        is a system call (hundreds of ns, against tens for
+//                        the vDSO-served monotonic clock), too dear for the
+//                        serving path the library's timers sit on. The
+//                        benches outside src/ keep their thread-CPU timers.
 //   raw-file-io          no direct fopen/open/write/fsync/... calls outside
 //                        src/wal/ — durable state goes through the
 //                        wal::FileSystem seam so the fault-injection harness
@@ -123,6 +129,9 @@ constexpr RuleInfo kRules[] = {
     {"raw-clock",
      "raw clock reads outside common/ (read time through the "
      "common/clock.h seam: easeml::MonotonicSeconds/ThreadCpuSeconds)"},
+    {"thread-cpu-clock",
+     "ThreadCpuSeconds under src/ outside common/clock.h (a system call per "
+     "read; time the library on easeml::MonotonicSeconds)"},
     {"raw-file-io",
      "direct file I/O calls (fopen/open/write/fsync/...) outside src/wal/ "
      "(durable bytes must flow through the wal::FileSystem seam)"},
@@ -354,6 +363,12 @@ bool InCommonDir(const std::string& path) {
   return PathContains(path, "common/");
 }
 
+// The thread-cpu-clock rule covers the library (src/) and exempts only the
+// seam that defines the clock.
+bool InLibrarySources(const std::string& path) {
+  return PathContains(path, "src/") && !PathContains(path, "common/clock.h");
+}
+
 // The raw-file-io rule exempts all of src/wal/ (file.cc IS the seam — the
 // one translation unit allowed to issue POSIX file calls).
 bool InWalDir(const std::string& path) {
@@ -443,6 +458,7 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
   const bool exact_sum_home = IsExactSumHome(path);
   const bool annotations_home = IsAnnotationsHome(path);
   const bool common_dir = InCommonDir(path);
+  const bool library_source = InLibrarySources(path);
 
   int brace_depth = 0;
   int paren_depth = 0;
@@ -591,6 +607,14 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
               "' outside common/: read time through "
               "easeml::MonotonicSeconds()/ThreadCpuSeconds() (common/clock.h) "
               "so every clock read shares one virtualizable seam");
+    }
+
+    // --- thread-cpu-clock -------------------------------------------------
+    if (library_source && t == "ThreadCpuSeconds") {
+      add(tok.line, "thread-cpu-clock",
+          "'ThreadCpuSeconds' in library code: the thread-CPU clock costs a "
+          "system call per read; time serving paths with "
+          "easeml::MonotonicSeconds() (common/clock.h)");
     }
 
     // --- raw-file-io ------------------------------------------------------
