@@ -26,11 +26,21 @@
 /// no-checkpoint arm pays the same belief folds the original campaign
 /// paid; the checkpoint arm pays a state decode linear in the fleet.
 ///
+/// Section 3 (CHECKPOINT_CODEC) times the checkpoint codec alone on a
+/// long-lived K=179 fleet: 121 live tenants, each replaced once it has
+/// trained 40 models, until 600 have departed. The row reports the encoded
+/// checkpoint size and the median over 5 runs of EncodeCheckpoint (CRC
+/// included), of the body CRC alone and of DecodeCheckpoint (CRC
+/// included). Informational: nothing gates on it.
+///
 /// Machine-readable rows for scripts/bench.sh:
 ///   RECOVERY_SERVE,<tenants>,<arm>,<next_us_mean>,<report_us_mean>
 ///   RECOVERY_TIME,<ops>,<tenants>,<checkpoint 0/1>,<recover_ms>,<replayed_records>,<log_bytes>
+///   CHECKPOINT_CODEC,<tenants>,<retired>,<bytes>,<encode_ms>,<crc_ms>,<decode_ms>
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -38,6 +48,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/multi_tenant_selector.h"
@@ -309,6 +320,86 @@ void RunRecoverySweep() {
   }
 }
 
+/// Median wall milliseconds of `reps` calls of `fn`.
+template <typename Fn>
+double MedianMs(int reps, Fn fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = easeml::MonotonicSeconds();
+    fn();
+    ms.push_back((easeml::MonotonicSeconds() - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+void RunCheckpointCodec() {
+  constexpr int kCodecModels = 179;
+  constexpr int kLive = 121;
+  constexpr int kDepartAfter = 40;
+  constexpr int kDepartures = 600;
+  // Kac-Murdock-Szego Gram corr^|i-j|: a correlated, positive definite
+  // prior of the paper's K.
+  std::vector<double> gram(static_cast<size_t>(kCodecModels) * kCodecModels);
+  for (int i = 0; i < kCodecModels; ++i) {
+    for (int j = 0; j < kCodecModels; ++j) {
+      gram[static_cast<size_t>(i) * kCodecModels + j] =
+          std::pow(0.5, std::abs(i - j));
+    }
+  }
+  auto matrix =
+      easeml::linalg::Matrix::FromRowMajor(kCodecModels, kCodecModels, gram);
+  EASEML_CHECK(matrix.ok()) << matrix.status().ToString();
+  auto prior = easeml::gp::MakeSharedGpPrior(std::move(*matrix), 1e-2);
+  EASEML_CHECK(prior.ok()) << prior.status().ToString();
+  std::vector<double> costs;
+  for (int m = 0; m < kCodecModels; ++m) costs.push_back(1.0 + 0.01 * (m % 7));
+
+  auto created = MultiTenantSelector::Create(SelectorOptions{});
+  EASEML_CHECK(created.ok()) << created.status().ToString();
+  MultiTenantSelector& selector = *created;
+  for (int t = 0; t < kLive; ++t) {
+    EASEML_CHECK(selector.AddTenant(*prior, costs).ok());
+  }
+  for (int departed = 0; departed < kDepartures;) {
+    auto a = selector.Next();
+    EASEML_CHECK(a.ok()) << a.status().ToString();
+    EASEML_CHECK(selector.Report(*a, Accuracy(a->tenant, a->model)).ok());
+    if (selector.RoundsServed(a->tenant).value() < kDepartAfter) continue;
+    EASEML_CHECK(selector.RemoveTenant(a->tenant).ok());
+    EASEML_CHECK(selector.AddTenant(*prior, costs).ok());
+    ++departed;
+  }
+
+  easeml::wal::Checkpoint cp;
+  auto state = selector.CaptureDurableState();
+  EASEML_CHECK(state.ok()) << state.status().ToString();
+  cp.state = std::move(*state);
+  // What CutCheckpoint adds: the WAL's registry, holding the same prior.
+  cp.wal_priors = cp.state.priors;
+  std::string bytes;
+  const double encode_ms =
+      MedianMs(5, [&] { bytes = easeml::wal::EncodeCheckpoint(cp); });
+  // Magic (8) + version, masked CRC and length (4 each) precede the body.
+  const std::string_view body = std::string_view(bytes).substr(20);
+  uint32_t crc = 0;
+  const double crc_ms = MedianMs(5, [&] { crc = easeml::Crc32(body); });
+  const double decode_ms = MedianMs(5, [&] {
+    EASEML_CHECK(easeml::wal::DecodeCheckpoint(bytes).ok());
+  });
+  std::printf(
+      "\n# Checkpoint codec (K=%d, %d live tenants, %d departed after %d "
+      "models; median of 5; crc checksum %08x)\n",
+      kCodecModels, kLive, kDepartures, kDepartAfter, crc);
+  std::printf("%8s %8s %10s | %10s %8s %10s\n", "tenants", "retired",
+              "bytes", "encode_ms", "crc_ms", "decode_ms");
+  std::printf("%8d %8d %10zu | %10.3f %8.3f %10.3f\n", selector.num_tenants(),
+              kDepartures, bytes.size(), encode_ms, crc_ms, decode_ms);
+  std::printf("CHECKPOINT_CODEC,%d,%d,%zu,%.3f,%.3f,%.3f\n",
+              selector.num_tenants(), kDepartures, bytes.size(), encode_ms,
+              crc_ms, decode_ms);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -386,6 +477,9 @@ int main(int argc, char** argv) {
                   off_spread_pct);
     }
   }
-  if (!gate_only) RunRecoverySweep();
+  if (!gate_only) {
+    RunRecoverySweep();
+    RunCheckpointCodec();
+  }
   return 0;
 }

@@ -117,48 +117,61 @@ inline Status GetString(std::string_view* in, std::string* s) {
   return Status::OK();
 }
 
-/// Length-prefixed homogeneous vectors.
+/// Length-prefixed homogeneous vectors. The host is little-endian (checked
+/// below), so a double or int32 vector's in-memory bytes ARE its encoding:
+/// each one is a single bulk copy, byte-identical to encoding its elements
+/// one by one with PutDouble/PutI32.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "binary_io's bulk vector codec assumes a little-endian host");
+static_assert(sizeof(double) == 8 && sizeof(int) == 4,
+              "binary_io's bulk vector codec assumes 8-byte doubles and "
+              "4-byte ints");
+
 inline void PutDoubleVec(std::string* out, const std::vector<double>& v) {
   PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double x : v) PutDouble(out, x);
+  out->append(reinterpret_cast<const char*>(v.data()), v.size() * 8);
 }
 
 inline Status GetDoubleVec(std::string_view* in, std::vector<double>* v) {
   uint32_t n = 0;
   EASEML_RETURN_NOT_OK(GetU32(in, &n));
-  if (in->size() < static_cast<size_t>(n) * 8) {
+  const size_t bytes = static_cast<size_t>(n) * 8;
+  if (in->size() < bytes) {
     return Status::DataLoss("binary_io: short read (double vector)");
   }
   v->resize(n);
-  for (uint32_t i = 0; i < n; ++i) EASEML_RETURN_NOT_OK(GetDouble(in, &(*v)[i]));
+  if (n > 0) std::memcpy(v->data(), in->data(), bytes);
+  in->remove_prefix(bytes);
   return Status::OK();
 }
 
 inline void PutI32Vec(std::string* out, const std::vector<int>& v) {
   PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutI32(out, x);
+  out->append(reinterpret_cast<const char*>(v.data()), v.size() * 4);
 }
 
 inline Status GetI32Vec(std::string_view* in, std::vector<int>* v) {
   uint32_t n = 0;
   EASEML_RETURN_NOT_OK(GetU32(in, &n));
-  if (in->size() < static_cast<size_t>(n) * 4) {
+  const size_t bytes = static_cast<size_t>(n) * 4;
+  if (in->size() < bytes) {
     return Status::DataLoss("binary_io: short read (int vector)");
   }
   v->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t x = 0;
-    EASEML_RETURN_NOT_OK(GetI32(in, &x));
-    (*v)[i] = x;
-  }
+  if (n > 0) std::memcpy(v->data(), in->data(), bytes);
+  in->remove_prefix(bytes);
   return Status::OK();
 }
 
 /// std::vector<bool> as one byte per bit (simple and size-irrelevant at
-/// checkpoint granularity).
+/// checkpoint granularity). Bit-packed storage has no byte image, so the
+/// span is filled and checked in one pass each way.
 inline void PutBoolVec(std::string* out, const std::vector<bool>& v) {
   PutU32(out, static_cast<uint32_t>(v.size()));
-  for (bool b : v) PutU8(out, b ? 1 : 0);
+  const size_t at = out->size();
+  out->resize(at + v.size());
+  char* p = out->data() + at;
+  for (const bool b : v) *p++ = b ? 1 : 0;
 }
 
 inline Status GetBoolVec(std::string_view* in, std::vector<bool>* v) {
@@ -167,13 +180,13 @@ inline Status GetBoolVec(std::string_view* in, std::vector<bool>* v) {
   if (in->size() < n) {
     return Status::DataLoss("binary_io: short read (bool vector)");
   }
-  v->resize(n);
+  const auto* p = reinterpret_cast<const unsigned char*>(in->data());
   for (uint32_t i = 0; i < n; ++i) {
-    uint8_t b = 0;
-    EASEML_RETURN_NOT_OK(GetU8(in, &b));
-    if (b > 1) return Status::DataLoss("binary_io: bool byte out of range");
-    (*v)[i] = (b != 0);
+    if (p[i] > 1) return Status::DataLoss("binary_io: bool byte out of range");
   }
+  v->resize(n);
+  for (uint32_t i = 0; i < n; ++i) (*v)[i] = p[i] != 0;
+  in->remove_prefix(n);
   return Status::OK();
 }
 

@@ -9,8 +9,9 @@
 
 namespace easeml::core {
 
-/// One shared GP prior, deduplicated by identity: tenants reference it by
-/// index into `DurableSelectorState::priors`. Doubles round-trip as bit
+/// One shared GP prior, deduplicated by content: tenants reference it by
+/// index into `DurableSelectorState::priors`, and a checkpoint's WAL prior
+/// registry references the same entries instead of repeating the Gram. Doubles round-trip as bit
 /// patterns, so MakeSharedGpPrior over the decoded Gram reproduces every
 /// posterior bit-identically.
 struct DurablePrior {
@@ -24,7 +25,8 @@ struct DurablePrior {
 /// bit-identically through SharedPriorGp::Observe) plus the packed t x t
 /// Cholesky factor as an integrity witness — recovery replays the history
 /// and fails with DataLoss when the replayed factor's bits disagree.
-/// Empty (prior_id == -1) for retired tenants, whose belief was released.
+/// Empty (prior_id == -1) for retired tenants, whose belief was released;
+/// the checkpoint format writes no belief block for them at all.
 struct DurableBelief {
   int prior_id = -1;
   std::vector<int> arms;
@@ -32,6 +34,12 @@ struct DurableBelief {
   std::vector<double> chol;  // packed lower triangle, row i at i*(i+1)/2
 };
 
+/// One tenant. A retired tenant is a tombstone: `user` carries only its id,
+/// arm count, rounds served, best reward and consumed cost (see
+/// `scheduler::DurableUserState`), and `belief` is empty, so a departed
+/// tenant costs O(1) in memory and in every checkpoint (format version 2,
+/// wal/checkpoint.h; version-1 checkpoints are not read, recovery replays
+/// the log instead).
 struct DurableTenant {
   scheduler::DurableUserState user;
   DurableBelief belief;

@@ -399,10 +399,13 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   }
   const int tenant = *picked;
   Result<int> selected = users_[tenant].SelectArm();
+  // Arm selection ends here: the index refresh and the observer's apply
+  // below are not the bandit's cost.
+  double t2 = 0.0;
+  if (obs != nullptr) t2 = MonotonicSeconds();
   RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
   NotifyTenantEvent(tenant);
   if (obs != nullptr) {
-    const double t2 = MonotonicSeconds();
     obs->OnNext(selected.ok(), (t1 - t0) * 1e6, (t2 - t1) * 1e6);
   }
   if (!selected.ok()) return selected.status();
@@ -760,7 +763,7 @@ Status MultiTenantSelector::RestoreDurableState(
     if (t.user.user_id != static_cast<int>(i)) {
       return Status::DataLoss("restore: tenant ids must be dense, in order");
     }
-    const int k = static_cast<int>(t.user.costs.size());
+    const int k = t.user.num_models;
     if (state.best_model[i] < -1 || state.best_model[i] >= k) {
       return Status::DataLoss("restore: best model out of range");
     }

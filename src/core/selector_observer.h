@@ -76,8 +76,9 @@ class SelectorObserver {
 
   /// A `Next()` call finished its pick + arm-selection phases. `pick_us` is
   /// the tenant-pick (index descent / scan) wall time on the monotonic
-  /// clock, `arm_us` the arm-selection wall time; `ok` is false when no
-  /// assignment was handed out. Wall time, not thread-CPU time: the
+  /// clock, `arm_us` the wall time of the tenant's `SelectArm` alone (the
+  /// index-leaf refresh and the tenant event that follow it are not
+  /// included); `ok` is false when no assignment was handed out. Wall time, not thread-CPU time: the
   /// monotonic clock is read without a system call, so observing a call
   /// adds little to it, but a preempted call is charged its wait.
   virtual void OnNext(bool ok, double pick_us, double arm_us) {

@@ -1,5 +1,7 @@
 #include "platform/templates.h"
 
+#include <utility>
+
 namespace easeml::platform {
 
 std::string WorkloadTypeName(WorkloadType type) {
@@ -39,46 +41,70 @@ bool SidePattern::Matches(const DataType& dt) const {
   return true;
 }
 
+namespace {
+
+/// A side with `tensor_ranks` leading non-recurrent tensors (any more after
+/// them when `tensor_tail_wildcard`) and `rec_count` recurrent fields (any
+/// number when `rec_wildcard`).
+SidePattern Side(std::vector<int> tensor_ranks, bool tensor_tail_wildcard,
+                 int rec_count, bool rec_wildcard) {
+  SidePattern side;
+  side.tensor_ranks = std::move(tensor_ranks);
+  side.tensor_tail_wildcard = tensor_tail_wildcard;
+  side.rec_count = rec_count;
+  side.rec_wildcard = rec_wildcard;
+  return side;
+}
+
+/// `[*], [*]`: anything.
+SidePattern AnySide() { return Side({}, true, 0, true); }
+
+void AddRow(std::vector<ModelTemplate>* table, SidePattern input,
+            SidePattern output, WorkloadType workload,
+            std::vector<std::string> candidate_models) {
+  ModelTemplate row;
+  row.input = std::move(input);
+  row.output = std::move(output);
+  row.workload = workload;
+  row.candidate_models = std::move(candidate_models);
+  table->push_back(std::move(row));
+}
+
+std::vector<ModelTemplate> MakeBuiltinTemplates() {
+  std::vector<ModelTemplate> t;
+  // Input {[Tensor[A,B,C]], []} -> Output {[Tensor[D]], []}.
+  AddRow(&t, Side({3}, false, 0, false), Side({1}, false, 0, false),
+         WorkloadType::kImageClassification,
+         {"AlexNet", "ResNet-50", "ResNet-18", "GoogLeNet", "SqueezeNet",
+          "VGG-16", "NIN", "BN-AlexNet"});
+  // Input {[Tensor[A,B,C]], []} -> Output {[Tensor[D,E,F]], []}.
+  AddRow(&t, Side({3}, false, 0, false), Side({3}, false, 0, false),
+         WorkloadType::kImageRecovery, {"Auto-encoder", "GAN", "pix2pix"});
+  // Input {[Tensor[A], *], [a]} -> Output {[Tensor[D]], []}.
+  AddRow(&t, Side({1}, true, 1, false), Side({1}, false, 0, false),
+         WorkloadType::kTimeSeriesClassification,
+         {"RNN", "LSTM", "bi-LSTM", "GRU"});
+  // Input {[Tensor[A], *], [a]} -> Output {[Tensor[B], *], [b]}.
+  AddRow(&t, Side({1}, true, 1, false), Side({1}, true, 1, false),
+         WorkloadType::kTimeSeriesTranslation, {"seq2seq"});
+  // Input {[Tensor[A], *], [a, c]} -> Output {[Tensor[B]], []}.
+  AddRow(&t, Side({1}, true, 2, false), Side({1}, false, 0, false),
+         WorkloadType::kTreeClassification, {"Tree-RNN", "Tree-kernel-SVM"});
+  // Input {[*], [*]} -> Output {[Tensor[B]], []}.
+  AddRow(&t, AnySide(), Side({1}, false, 0, false),
+         WorkloadType::kGeneralClassification, {"Bit-level-RNN"});
+  // Input {[*], [*]} -> Output {[*], [*]}.
+  AddRow(&t, AnySide(), AnySide(), WorkloadType::kGeneralAutoEncoder,
+         {"Bit-level-Auto-encoder"});
+  return t;
+}
+
+}  // namespace
+
 const std::vector<ModelTemplate>& BuiltinTemplates() {
   // The Figure-4 table, top (most specific) to bottom (most general).
-  static const auto* kTemplates = new std::vector<ModelTemplate>{
-      // Input {[Tensor[A,B,C]], []} -> Output {[Tensor[D]], []}.
-      {{{3}, false, 0, false},
-       {{1}, false, 0, false},
-       WorkloadType::kImageClassification,
-       {"AlexNet", "ResNet-50", "ResNet-18", "GoogLeNet", "SqueezeNet",
-        "VGG-16", "NIN", "BN-AlexNet"}},
-      // Input {[Tensor[A,B,C]], []} -> Output {[Tensor[D,E,F]], []}.
-      {{{3}, false, 0, false},
-       {{3}, false, 0, false},
-       WorkloadType::kImageRecovery,
-       {"Auto-encoder", "GAN", "pix2pix"}},
-      // Input {[Tensor[A], *], [a]} -> Output {[Tensor[D]], []}.
-      {{{1}, true, 1, false},
-       {{1}, false, 0, false},
-       WorkloadType::kTimeSeriesClassification,
-       {"RNN", "LSTM", "bi-LSTM", "GRU"}},
-      // Input {[Tensor[A], *], [a]} -> Output {[Tensor[B], *], [b]}.
-      {{{1}, true, 1, false},
-       {{1}, true, 1, false},
-       WorkloadType::kTimeSeriesTranslation,
-       {"seq2seq"}},
-      // Input {[Tensor[A], *], [a, c]} -> Output {[Tensor[B]], []}.
-      {{{1}, true, 2, false},
-       {{1}, false, 0, false},
-       WorkloadType::kTreeClassification,
-       {"Tree-RNN", "Tree-kernel-SVM"}},
-      // Input {[*], [*]} -> Output {[Tensor[B]], []}.
-      {{{}, true, 0, true},
-       {{1}, false, 0, false},
-       WorkloadType::kGeneralClassification,
-       {"Bit-level-RNN"}},
-      // Input {[*], [*]} -> Output {[*], [*]}.
-      {{{}, true, 0, true},
-       {{}, true, 0, true},
-       WorkloadType::kGeneralAutoEncoder,
-       {"Bit-level-Auto-encoder"}},
-  };
+  static const auto* kTemplates =
+      new std::vector<ModelTemplate>(MakeBuiltinTemplates());
   return *kTemplates;
 }
 

@@ -8,6 +8,7 @@ UserState::UserState(int user_id,
                      std::unique_ptr<bandit::BanditPolicy> policy,
                      std::vector<double> costs)
     : user_id_(user_id),
+      num_models_(static_cast<int>(costs.size())),
       policy_(std::move(policy)),
       costs_(std::move(costs)),
       played_(costs_.size(), false),
@@ -39,9 +40,22 @@ Status UserState::set_max_in_flight(int cap) {
   return Status::OK();
 }
 
+UserState UserState::Tombstone(int user_id, int num_models,
+                               int rounds_served, double best_reward,
+                               double consumed_cost) {
+  UserState state(user_id, nullptr, {});
+  state.num_models_ = num_models;
+  state.rounds_served_ = rounds_served;
+  state.retired_ = true;
+  state.best_reward_ = best_reward;
+  state.consumed_cost_ = consumed_cost;
+  return state;
+}
+
 void UserState::Retire() {
-  retired_ = true;
-  policy_.reset();  // drop the O(t²) belief; history fields stay readable
+  // Move-assigning the tombstone frees the belief and every O(K) vector.
+  *this = Tombstone(user_id_, num_models_, rounds_served_, best_reward_,
+                    consumed_cost_);
 }
 
 std::vector<int> UserState::AvailableArms() const {
@@ -123,20 +137,22 @@ Status UserState::CancelSelection(int arm) {
 DurableUserState UserState::CaptureDurable() const {
   DurableUserState d;
   d.user_id = user_id_;
+  d.num_models = num_models_;
+  d.rounds_served = rounds_served_;
+  d.retired = retired_;
+  d.best_reward = best_reward_;
+  d.consumed_cost = consumed_cost_;
+  if (retired_) return d;  // the tombstone: every other field is default
   d.costs = costs_;
   d.played = played_;
   d.num_played = num_played_;
-  d.rounds_served = rounds_served_;
   d.in_flight = in_flight_;
   d.in_flight_ucb = in_flight_ucb_;
   d.num_in_flight = num_in_flight_;
   d.max_in_flight = max_in_flight_;
-  d.retired = retired_;
-  d.best_reward = best_reward_;
   d.last_reward = last_reward_;
   d.empirical_bound = empirical_bound_;
   d.min_empirical_ucb = min_empirical_ucb_;
-  d.consumed_cost = consumed_cost_;
   return d;
 }
 
@@ -147,8 +163,16 @@ Result<UserState> UserState::FromDurable(
         "UserState::FromDurable: policy must be absent exactly for retired "
         "tenants");
   }
+  if (d.num_models < 0) {
+    return Status::DataLoss("UserState::FromDurable: negative arm count");
+  }
+  if (d.retired) {
+    return Tombstone(d.user_id, d.num_models, d.rounds_served, d.best_reward,
+                     d.consumed_cost);
+  }
   const size_t k = d.costs.size();
-  if (d.played.size() != k || d.in_flight.size() != k ||
+  if (static_cast<size_t>(d.num_models) != k || d.played.size() != k ||
+      d.in_flight.size() != k ||
       d.in_flight_ucb.size() != k) {
     return Status::DataLoss(
         "UserState::FromDurable: per-arm vectors disagree on arm count");
@@ -169,7 +193,6 @@ Result<UserState> UserState::FromDurable(
   state.in_flight_ucb_ = d.in_flight_ucb;
   state.num_in_flight_ = d.num_in_flight;
   state.max_in_flight_ = d.max_in_flight;
-  state.retired_ = d.retired;
   state.best_reward_ = d.best_reward;
   state.last_reward_ = d.last_reward;
   state.empirical_bound_ = d.empirical_bound;

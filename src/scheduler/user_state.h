@@ -17,8 +17,14 @@ namespace easeml::scheduler {
 /// All doubles round-trip through their IEEE-754 bit patterns
 /// (common/binary_io.h), so Capture/FromDurable is an exact state copy —
 /// the invariant the WAL recovery battery compares engines with.
+///
+/// A retired tenant is a TOMBSTONE: only `user_id`, `num_models`,
+/// `rounds_served`, `retired`, `best_reward` and `consumed_cost` carry
+/// state; every other field keeps its default (the per-arm vectors are
+/// empty). That is all a retired `UserState` still holds.
 struct DurableUserState {
   int user_id = 0;
+  int num_models = 0;  // == costs.size() for a live tenant
   std::vector<double> costs;
   std::vector<bool> played;
   int num_played = 0;
@@ -66,7 +72,7 @@ class UserState {
       std::vector<double> costs);
 
   int user_id() const { return user_id_; }
-  int num_models() const { return static_cast<int>(played_.size()); }
+  int num_models() const { return num_models_; }
 
   /// Number of completed (select, observe) rounds t_i.
   int rounds_served() const { return rounds_served_; }
@@ -81,8 +87,14 @@ class UserState {
   /// the policy belief is released and `policy()` must not be called.
   bool retired() const { return retired_; }
 
-  /// Removes the user from scheduling permanently and frees its belief
-  /// state (the O(t²) posterior is the dominant per-tenant allocation).
+  /// Removes the user from scheduling permanently and shrinks it to an
+  /// O(1) tombstone: user id, `num_models()`, `rounds_served()`,
+  /// `best_reward()` and `consumed_cost()` stay readable. The policy belief
+  /// (the O(t²) posterior) and the O(K) per-arm state (costs, played and
+  /// in-flight masks, captured bounds) are freed, and the sigma~ recurrence,
+  /// last reward and concurrency cap return to their fresh-tenant values —
+  /// exactly the state `FromDurable` rebuilds from a tombstone, so a long-
+  /// lived fleet's memory and checkpoints grow by O(1) per departed tenant.
   /// Precondition: no selection is in flight (`!has_pending()`); the
   /// selector enforces this with FailedPrecondition before routing here.
   void Retire();
@@ -95,8 +107,9 @@ class UserState {
   /// Number of outstanding selections.
   int in_flight_count() const { return num_in_flight_; }
 
-  /// True while `arm` is charged but unobserved.
-  bool InFlight(int arm) const { return in_flight_[arm]; }
+  /// True while `arm` is charged but unobserved; false for every arm of a
+  /// retired tenant (nothing of a tombstone is in flight).
+  bool InFlight(int arm) const { return !retired_ && in_flight_[arm]; }
 
   /// Maximum number of concurrently outstanding selections (devices this
   /// tenant may occupy at once). Default 1 = the paper's sequential
@@ -174,6 +187,7 @@ class UserState {
   /// retiring releases the belief.
   const bandit::BanditPolicy& policy() const { return *policy_; }
 
+  /// Precondition: `!retired()` — retiring frees the per-arm costs.
   double ArmCost(int arm) const { return costs_[arm]; }
 
   /// Copies every field (except the policy) into its durable twin.
@@ -184,6 +198,7 @@ class UserState {
   /// belief); sizes must be mutually consistent. Unlike `Create` this
   /// restores the full mid-campaign state verbatim — played masks,
   /// in-flight charges with their captured B_t, the sigma~ recurrence.
+  /// A retired `d` is read as its tombstone fields only.
   static Result<UserState> FromDurable(const DurableUserState& d,
                                        std::unique_ptr<bandit::BanditPolicy> policy);
 
@@ -191,7 +206,12 @@ class UserState {
   UserState(int user_id, std::unique_ptr<bandit::BanditPolicy> policy,
             std::vector<double> costs);
 
+  /// The retired state `Retire()` leaves and `FromDurable` restores.
+  static UserState Tombstone(int user_id, int num_models, int rounds_served,
+                             double best_reward, double consumed_cost);
+
   int user_id_;
+  int num_models_;
   std::unique_ptr<bandit::BanditPolicy> policy_;
   std::vector<double> costs_;
   std::vector<bool> played_;

@@ -1,5 +1,6 @@
 #include "wal/checkpoint.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -11,10 +12,22 @@ namespace easeml::wal {
 namespace {
 
 constexpr std::string_view kMagic = "EZCKPT01";
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
+
+/// `wal_priors` entry tag: an index into `state.priors`, or this for a
+/// prior written out in full.
+constexpr int32_t kInlinePrior = -1;
 
 void EncodeDurableUser(std::string* out, const scheduler::DurableUserState& u) {
   PutI32(out, u.user_id);
+  PutU8(out, u.retired ? 1 : 0);
+  if (u.retired) {
+    PutI32(out, u.num_models);
+    PutI32(out, u.rounds_served);
+    PutDouble(out, u.best_reward);
+    PutDouble(out, u.consumed_cost);
+    return;
+  }
   PutDoubleVec(out, u.costs);
   PutBoolVec(out, u.played);
   PutI32(out, u.num_played);
@@ -23,7 +36,6 @@ void EncodeDurableUser(std::string* out, const scheduler::DurableUserState& u) {
   PutDoubleVec(out, u.in_flight_ucb);
   PutI32(out, u.num_in_flight);
   PutI32(out, u.max_in_flight);
-  PutU8(out, u.retired ? 1 : 0);
   PutDouble(out, u.best_reward);
   PutDouble(out, u.last_reward);
   PutDouble(out, u.empirical_bound);
@@ -33,7 +45,18 @@ void EncodeDurableUser(std::string* out, const scheduler::DurableUserState& u) {
 
 Status DecodeDurableUser(std::string_view* in, scheduler::DurableUserState* u) {
   EASEML_RETURN_NOT_OK(GetI32(in, &u->user_id));
+  uint8_t retired = 0;
+  EASEML_RETURN_NOT_OK(GetU8(in, &retired));
+  if (retired > 1) return Status::DataLoss("checkpoint: bad retired flag");
+  u->retired = retired != 0;
+  if (u->retired) {
+    EASEML_RETURN_NOT_OK(GetI32(in, &u->num_models));
+    EASEML_RETURN_NOT_OK(GetI32(in, &u->rounds_served));
+    EASEML_RETURN_NOT_OK(GetDouble(in, &u->best_reward));
+    return GetDouble(in, &u->consumed_cost);
+  }
   EASEML_RETURN_NOT_OK(GetDoubleVec(in, &u->costs));
+  u->num_models = static_cast<int>(u->costs.size());
   EASEML_RETURN_NOT_OK(GetBoolVec(in, &u->played));
   EASEML_RETURN_NOT_OK(GetI32(in, &u->num_played));
   EASEML_RETURN_NOT_OK(GetI32(in, &u->rounds_served));
@@ -41,16 +64,26 @@ Status DecodeDurableUser(std::string_view* in, scheduler::DurableUserState* u) {
   EASEML_RETURN_NOT_OK(GetDoubleVec(in, &u->in_flight_ucb));
   EASEML_RETURN_NOT_OK(GetI32(in, &u->num_in_flight));
   EASEML_RETURN_NOT_OK(GetI32(in, &u->max_in_flight));
-  uint8_t retired = 0;
-  EASEML_RETURN_NOT_OK(GetU8(in, &retired));
-  if (retired > 1) return Status::DataLoss("checkpoint: bad retired flag");
-  u->retired = retired != 0;
   EASEML_RETURN_NOT_OK(GetDouble(in, &u->best_reward));
   EASEML_RETURN_NOT_OK(GetDouble(in, &u->last_reward));
   EASEML_RETURN_NOT_OK(GetDouble(in, &u->empirical_bound));
   EASEML_RETURN_NOT_OK(GetDouble(in, &u->min_empirical_ucb));
-  EASEML_RETURN_NOT_OK(GetDouble(in, &u->consumed_cost));
-  return Status::OK();
+  return GetDouble(in, &u->consumed_cost);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Bit-exact prior equality: the test that lets a `wal_priors` entry be
+/// written as a reference without changing what decodes.
+bool SamePrior(const core::DurablePrior& a, const core::DurablePrior& b) {
+  return a.num_arms == b.num_arms &&
+         std::memcmp(&a.noise_variance, &b.noise_variance, sizeof(double)) ==
+             0 &&
+         SameBits(a.mean, b.mean) && SameBits(a.gram, b.gram);
 }
 
 }  // namespace
@@ -68,6 +101,7 @@ void EncodeDurableSelectorState(std::string* out,
   PutU32(out, static_cast<uint32_t>(s.tenants.size()));
   for (const core::DurableTenant& t : s.tenants) {
     EncodeDurableUser(out, t.user);
+    if (t.user.retired) continue;  // a tombstone has no belief
     PutI32(out, t.belief.prior_id);
     PutI32Vec(out, t.belief.arms);
     PutDoubleVec(out, t.belief.rewards);
@@ -100,6 +134,7 @@ Status DecodeDurableSelectorState(std::string_view* in,
   for (uint32_t i = 0; i < n; ++i) {
     core::DurableTenant& t = s->tenants[i];
     EASEML_RETURN_NOT_OK(DecodeDurableUser(in, &t.user));
+    if (t.user.retired) continue;
     EASEML_RETURN_NOT_OK(GetI32(in, &t.belief.prior_id));
     EASEML_RETURN_NOT_OK(GetI32Vec(in, &t.belief.arms));
     EASEML_RETURN_NOT_OK(GetDoubleVec(in, &t.belief.rewards));
@@ -123,29 +158,41 @@ Status DecodeDurableSelectorState(std::string_view* in,
 }
 
 std::string EncodeCheckpoint(const Checkpoint& cp) {
-  std::string body;
-  EncodeDurableSelectorState(&body, cp.state);
-  PutU32(&body, static_cast<uint32_t>(cp.wal_priors.size()));
-  for (const core::DurablePrior& p : cp.wal_priors) {
-    EncodeDurablePrior(&body, p);
-  }
-  PutU8(&body, cp.has_obs ? 1 : 0);
-  if (cp.has_obs) {
-    PutU64(&body, cp.obs.fleet_epoch);
-    PutI64(&body, cp.obs.totals.tenants);
-    PutI64(&body, cp.obs.totals.retired);
-    PutI64(&body, cp.obs.totals.schedulable);
-    PutI64(&body, cp.obs.totals.uninitialized);
-    PutI64(&body, cp.obs.totals.in_flight);
-    PutI64(&body, cp.obs.totals.rounds);
-  }
   std::string out;
-  out.reserve(kMagic.size() + 12 + body.size());
   out.append(kMagic);
   PutU32(&out, kFormatVersion);
-  PutU32(&out, MaskCrc32(Crc32(body)));
-  PutU32(&out, static_cast<uint32_t>(body.size()));
-  out.append(body);
+  // The body is encoded in place after the header; its CRC and length are
+  // patched into the 8 bytes reserved here once it is complete.
+  const size_t body_start = out.size() + 8;
+  out.resize(body_start);
+  EncodeDurableSelectorState(&out, cp.state);
+  PutU32(&out, static_cast<uint32_t>(cp.wal_priors.size()));
+  for (const core::DurablePrior& p : cp.wal_priors) {
+    int32_t ref = kInlinePrior;
+    for (size_t i = 0; i < cp.state.priors.size(); ++i) {
+      if (SamePrior(p, cp.state.priors[i])) {
+        ref = static_cast<int32_t>(i);
+        break;
+      }
+    }
+    PutI32(&out, ref);
+    if (ref == kInlinePrior) EncodeDurablePrior(&out, p);
+  }
+  PutU8(&out, cp.has_obs ? 1 : 0);
+  if (cp.has_obs) {
+    PutU64(&out, cp.obs.fleet_epoch);
+    PutI64(&out, cp.obs.totals.tenants);
+    PutI64(&out, cp.obs.totals.retired);
+    PutI64(&out, cp.obs.totals.schedulable);
+    PutI64(&out, cp.obs.totals.uninitialized);
+    PutI64(&out, cp.obs.totals.in_flight);
+    PutI64(&out, cp.obs.totals.rounds);
+  }
+  const std::string_view body = std::string_view(out).substr(body_start);
+  std::string frame;
+  PutU32(&frame, MaskCrc32(Crc32(body)));
+  PutU32(&frame, static_cast<uint32_t>(body.size()));
+  out.replace(body_start - frame.size(), frame.size(), frame);
   return out;
 }
 
@@ -177,7 +224,16 @@ Result<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
   EASEML_RETURN_NOT_OK(GetU32(&bytes, &n));
   cp.wal_priors.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    EASEML_RETURN_NOT_OK(DecodeDurablePrior(&bytes, &cp.wal_priors[i]));
+    int32_t ref = 0;
+    EASEML_RETURN_NOT_OK(GetI32(&bytes, &ref));
+    if (ref == kInlinePrior) {
+      EASEML_RETURN_NOT_OK(DecodeDurablePrior(&bytes, &cp.wal_priors[i]));
+    } else if (ref >= 0 && ref < static_cast<int32_t>(cp.state.priors.size())) {
+      cp.wal_priors[i] = cp.state.priors[ref];
+    } else {
+      return Status::DataLoss("checkpoint: wal prior references unknown "
+                              "engine prior " + std::to_string(ref));
+    }
   }
   uint8_t has_obs = 0;
   EASEML_RETURN_NOT_OK(GetU8(&bytes, &has_obs));

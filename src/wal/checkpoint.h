@@ -48,7 +48,25 @@ void EncodeDurableSelectorState(std::string* out,
 Status DecodeDurableSelectorState(std::string_view* in,
                                   core::DurableSelectorState* s);
 
-/// Whole-file encoding: magic "EZCKPT01", format version, CRC-framed body.
+/// Whole-file encoding, format version 2:
+///
+///   "EZCKPT01" | u32 version = 2 | u32 masked CRC-32 of body | u32 body len
+///   body = DurableSelectorState
+///          | u32 n, then n wal_priors entries: i32 ref, and when ref == -1
+///            the prior in full; ref >= 0 names the `state.priors` entry
+///            whose content is bit-identical, so a prior the engine and the
+///            WAL registry share (the common case) is written once
+///          | u8 has_obs [obs metadata]
+///
+/// Inside the state each tenant starts with its id and a retired flag. A
+/// live tenant follows with its per-arm vectors, counters, sigma~
+/// recurrence and belief (prior id, observed arms and rewards, packed
+/// Cholesky factor); a retired tenant is a tombstone: num_models,
+/// rounds_served, best_reward and consumed_cost, ~33 bytes with its
+/// best-model entry whatever its K. There is no reader for version 1:
+/// `DecodeCheckpoint` refuses any other version with DataLoss, so
+/// `ReadCheckpoint` returns nullopt and recovery replays the whole log,
+/// which reproduces the same state.
 std::string EncodeCheckpoint(const Checkpoint& cp);
 Result<Checkpoint> DecodeCheckpoint(std::string_view bytes);
 

@@ -175,6 +175,56 @@ TEST(UserStateTest, MaxUcbOverAvailableArms) {
   EXPECT_LT(u.MaxUcb(), 0);
 }
 
+TEST(UserStateTest, RetireLeavesATombstoneThatRoundTrips) {
+  UserState u = MakeUser(7, 4);
+  ASSERT_TRUE(u.set_max_in_flight(2).ok());
+  for (const double reward : {0.3, 0.8}) {
+    auto arm = u.SelectArm();
+    ASSERT_TRUE(arm.ok());
+    ASSERT_TRUE(u.RecordOutcome(*arm, reward).ok());
+  }
+  const double cost = u.consumed_cost();
+  u.Retire();
+  EXPECT_TRUE(u.retired());
+  EXPECT_TRUE(u.Exhausted());
+  EXPECT_FALSE(u.Schedulable());
+  EXPECT_EQ(u.user_id(), 7);
+  EXPECT_EQ(u.num_models(), 4);
+  EXPECT_EQ(u.rounds_served(), 2);
+  EXPECT_DOUBLE_EQ(u.best_reward(), 0.8);
+  EXPECT_DOUBLE_EQ(u.consumed_cost(), cost);
+  for (int arm = 0; arm < 4; ++arm) EXPECT_FALSE(u.InFlight(arm)) << arm;
+  EXPECT_TRUE(u.AvailableArms().empty());
+  EXPECT_FALSE(u.SelectArm().ok());
+  EXPECT_FALSE(u.RecordOutcome(0, 0.5).ok());
+  EXPECT_FALSE(u.CancelSelection(0).ok());
+
+  const DurableUserState d = u.CaptureDurable();
+  EXPECT_TRUE(d.retired);
+  EXPECT_EQ(d.num_models, 4);
+  EXPECT_TRUE(d.costs.empty() && d.played.empty() && d.in_flight.empty() &&
+              d.in_flight_ucb.empty());
+  EXPECT_EQ(d.max_in_flight, 1);
+  auto restored = UserState::FromDurable(d, nullptr);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const DurableUserState again = restored->CaptureDurable();
+  EXPECT_EQ(again.user_id, d.user_id);
+  EXPECT_EQ(again.num_models, d.num_models);
+  EXPECT_EQ(again.rounds_served, d.rounds_served);
+  EXPECT_EQ(again.best_reward, d.best_reward);
+  EXPECT_EQ(again.consumed_cost, d.consumed_cost);
+  EXPECT_EQ(restored->num_models(), 4);
+  EXPECT_FALSE(restored->InFlight(0));
+}
+
+TEST(UserStateTest, FromDurableRejectsAnArmCountThatDisagreesWithCosts) {
+  UserState u = MakeUser(0, 3);
+  DurableUserState d = u.CaptureDurable();
+  d.num_models = 4;
+  EXPECT_EQ(UserState::FromDurable(d, MakeGpPolicy(3)).status().code(),
+            StatusCode::kDataLoss);
+}
+
 TEST(UserStateTest, NonGpPolicyHasNoConfidenceBounds) {
   auto state = UserState::Create(
       0, std::make_unique<bandit::Ucb1Policy>(3), {1.0, 1.0, 1.0});

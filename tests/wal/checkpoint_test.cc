@@ -5,6 +5,7 @@
 
 #include "wal/checkpoint.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -118,6 +119,38 @@ TEST(CheckpointFile, EncodeDecodeRoundTrips) {
   EXPECT_TRUE(round.has_obs);
   EXPECT_EQ(round.obs.fleet_epoch, 17u);
   EXPECT_EQ(round.obs.totals.rounds, 8);
+}
+
+TEST(CheckpointFile, WalPriorEqualToAnEnginePriorIsWrittenAsAReference) {
+  const Checkpoint base = SampleCheckpoint();
+  ASSERT_EQ(base.state.priors.size(), 2u);
+  const size_t base_size = EncodeCheckpoint(base).size();
+
+  Checkpoint shared = base;
+  shared.wal_priors.push_back(base.state.priors[1]);
+  const std::string shared_bytes = EncodeCheckpoint(shared);
+  EXPECT_EQ(shared_bytes.size(), base_size + 4);  // the reference alone
+  WAL_ASSERT_OK_AND_ASSIGN(const Checkpoint round,
+                           DecodeCheckpoint(shared_bytes));
+  ASSERT_EQ(round.wal_priors.size(), 2u);
+  EXPECT_EQ(round.wal_priors[1].num_arms, base.state.priors[1].num_arms);
+  EXPECT_EQ(round.wal_priors[1].mean, base.state.priors[1].mean);
+  EXPECT_EQ(round.wal_priors[1].gram, base.state.priors[1].gram);
+  EXPECT_EQ(EncodeCheckpoint(round), shared_bytes);
+
+  // Equal under == but not bit for bit (-0.0): the prior is written out.
+  Checkpoint distinct = base;
+  core::DurablePrior negated_zero = base.state.priors[1];
+  ASSERT_EQ(negated_zero.mean[0], 0.0);
+  negated_zero.mean[0] = -0.0;
+  distinct.wal_priors.push_back(negated_zero);
+  const std::string distinct_bytes = EncodeCheckpoint(distinct);
+  std::string prior_bytes;
+  EncodeDurablePrior(&prior_bytes, negated_zero);
+  EXPECT_EQ(distinct_bytes.size(), base_size + 4 + prior_bytes.size());
+  WAL_ASSERT_OK_AND_ASSIGN(const Checkpoint distinct_round,
+                           DecodeCheckpoint(distinct_bytes));
+  EXPECT_TRUE(std::signbit(distinct_round.wal_priors[1].mean[0]));
 }
 
 TEST(CheckpointFile, DecodeRejectsDamage) {

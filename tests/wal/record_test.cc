@@ -23,6 +23,48 @@ TEST(FramedSize, AlwaysAlignedAndMinimal) {
   EXPECT_EQ(FramedSize(0), kMinRecordSize);
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+// Frozen frames: the framing, the vector codec inside the bodies and the
+// masked CRC in the header must keep producing these exact bytes, or logs
+// written by earlier builds stop validating.
+TEST(AppendRecord, FramesArePinnedByteForByte) {
+  std::string add_log;
+  AddTenantBody add;
+  add.tenant = 5;
+  add.prior_id = 0;
+  add.costs = {0.25, 0.5, 1.0};
+  std::string add_body;
+  EncodeAddTenant(&add_body, add);
+  AppendRecord(&add_log, RecordType::kAddTenant, 3, add_body);
+  EXPECT_EQ(Hex(add_log),
+            "9540d1df2d00000002030000000000000005000000000000000300000000000000"
+            "0000d03f000000000000e03f000000000000f03f000000");
+
+  std::string prior_log;
+  RegisterPriorBody reg;
+  reg.prior_id = 1;
+  reg.prior.num_arms = 2;
+  reg.prior.noise_variance = 1e-3;
+  reg.prior.mean = {0.5, -0.25};
+  reg.prior.gram = {1.0, 0.125, 0.125, 2.0};
+  std::string prior_body;
+  EncodeRegisterPrior(&prior_body, reg);
+  AppendRecord(&prior_log, RecordType::kRegisterPrior, 4, prior_body);
+  EXPECT_EQ(Hex(prior_log),
+            "d01efb9f510000000104000000000000000100000002000000fca9f1d24d62503f"
+            "02000000000000000000e03f000000000000d0bf04000000000000000000f03f00"
+            "0000000000c03f000000000000c03f000000000000004000000000000000");
+}
+
 TEST(ScanLog, EmptyLogIsCleanAndEmpty) {
   WAL_ASSERT_OK_AND_ASSIGN(const LogScan scan, ScanLog("", 0, 0));
   EXPECT_TRUE(scan.records.empty());
